@@ -48,7 +48,7 @@ from repro.core.estimators import (
     as_estimator,
     is_builtin_estimator,
 )
-from repro.core.streaming import StreamingContingency
+from repro.core.streaming import StreamingContingency, canonical_rows
 from repro.exceptions import CheckpointError, ValidationError
 from repro.tabular.table import Table
 
@@ -111,6 +111,7 @@ class StreamingAuditor:
         self._accumulator = StreamingContingency(
             protected, outcome, factor_levels, outcome_levels
         )
+        self._columns = (*self._accumulator.factor_names, outcome)
         self._factor_levels = (
             None
             if factor_levels is None
@@ -174,6 +175,15 @@ class StreamingAuditor:
         """Ingest rows ``(*protected values, outcome value)``; return the
         point epsilon of the updated window.
 
+        Every cell must be in the level domain of
+        :func:`repro.core.streaming.canonical_rows`: ``str``, ``bool``,
+        ``int``, finite ``float`` or ``None``, with numpy scalars and
+        subclasses stored as the plain value. Anything else — a
+        non-finite float, a list, a ``str`` row — raises
+        :class:`~repro.exceptions.ValidationError` naming the row or the
+        value and its column, and nothing is counted. ``True``, ``1``
+        and ``1.0`` are one level (the first-seen object is stored).
+
         ``seq`` is the batch's apply-sequence number for idempotent
         WAL replay. With ``replay=True`` a batch at or below
         :attr:`applied_seq` has already been folded into the counts (it
@@ -187,6 +197,20 @@ class StreamingAuditor:
         Without ``seq`` the cursor simply advances by one per non-empty
         batch.
         """
+        return self._observe_canonical(
+            canonical_rows(rows, self._columns), seq=seq, replay=replay
+        )
+
+    def _observe_canonical(
+        self,
+        rows: list[tuple[Any, ...]],
+        *,
+        seq: int | None = None,
+        replay: bool = False,
+    ) -> float:
+        """:meth:`observe` for rows already returned by
+        :func:`~repro.core.streaming.canonical_rows` (the monitor checks
+        each batch once at ingress and passes it on unchanged)."""
         if seq is not None and int(seq) <= self._applied_seq:
             if replay:
                 return self.epsilon()
@@ -198,7 +222,6 @@ class StreamingAuditor:
                 "drop the batch; align the WAL sequence "
                 "(WriteAheadLog.align_seq) before ingesting"
             )
-        rows = [tuple(row) for row in rows]
         if rows:
             self._accumulator.update(rows)
             self._rows_seen += len(rows)

@@ -40,6 +40,23 @@ Dynamic axes store levels in first-seen order internally but
 two accumulators that saw the same multiset of rows in different orders —
 or through different merge trees — produce bitwise-equal snapshots.
 
+The level domain
+----------------
+A row-path level is a ``str``, ``bool``, ``int``, finite ``float`` or
+``None``: exactly the values a strict-JSON write-ahead-log record carries
+through a crash and a replay unchanged. :func:`canonical_rows` checks a
+batch against it once at ingress; numpy bool/integer/floating scalars and
+subclasses of ``str``, ``int`` and ``float`` become the plain Python value
+(``np.int64(3)`` is stored as ``3``), while non-finite floats, lists,
+dicts and every other type are rejected with a
+:class:`~repro.exceptions.ValidationError` naming the value and its
+column. Levels are dictionary keys, so values that are equal in Python
+(``True``, ``1`` and ``1.0``) are one level, stored as the first-seen
+object. :class:`StreamingContingency` itself normalises every new level
+the same way and refuses non-finite floats, unhashable cells and ``str``
+rows, but keeps other hashable values (a tuple level) for in-memory
+audits; the ``.rcpk`` checkpoint refuses those at save time.
+
 Dirty-cell tracking
 -------------------
 The accumulator records which intersectional group cells changed since
@@ -51,7 +68,9 @@ update instead of re-estimating every group.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -61,7 +80,16 @@ from repro.tabular.column import CATEGORICAL
 from repro.tabular.crosstab import ContingencyTable
 from repro.tabular.table import Table
 
-__all__ = ["StreamingContingency", "canonical_level_order"]
+__all__ = [
+    "StreamingContingency",
+    "canonical_level_order",
+    "canonical_rows",
+]
+
+# Cell types that pass ingress unchanged.
+_PLAIN_LEVEL_TYPES = frozenset((str, bool, int, type(None)))
+# What _canonical_level maps to a plain value (or refuses as non-finite).
+_SCALAR_TYPES = (str, int, float, np.bool_, np.integer, np.floating)
 
 
 def canonical_level_order(levels: Sequence[Any]) -> list[Any]:
@@ -73,6 +101,100 @@ def canonical_level_order(levels: Sequence[Any]) -> list[Any]:
     whose categorical levels were inferred from the same values.
     """
     return sorted(levels, key=lambda item: (str(type(item)), str(item)))
+
+
+def _canonical_level(value: Any, column: str) -> Any:
+    """``value`` as a member of the level domain (see the module docstring).
+
+    Returns the plain Python value for numpy scalars and for subclasses
+    of ``str``/``int``/``float``; raises :class:`ValidationError` naming
+    the value and ``column`` for a non-finite float or any other type.
+    """
+    kind = type(value)
+    if kind in _PLAIN_LEVEL_TYPES:
+        return value
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, str):
+        return str.__str__(value)
+    if isinstance(value, int):
+        return int.__int__(value)
+    if isinstance(value, (float, np.floating)):
+        number = (
+            float.__float__(value) if isinstance(value, float) else float(value)
+        )
+        if math.isfinite(number):
+            return number
+        raise ValidationError(
+            f"column {column!r}: {value!r} is not a finite float; levels "
+            "are str, bool, int, finite float or None"
+        )
+    raise ValidationError(
+        f"column {column!r}: {value!r} ({kind.__name__}) is not a level; "
+        "levels are str, bool, int, finite float or None"
+    )
+
+
+def _row_tuples(
+    rows: Iterable[Sequence[Any]], columns: Sequence[str]
+) -> list[tuple[Any, ...]]:
+    """Rows as tuples of ``len(columns)`` cells, or a ValidationError.
+
+    A ``str``/``bytes`` row (which ``tuple()`` would split into
+    characters) and any other non-sequence row are rejected by index.
+    """
+    rows = rows if type(rows) is list else list(rows)
+    row_types = set(map(type, rows))
+    if row_types != {tuple}:
+        bad = {
+            kind
+            for kind in row_types
+            if issubclass(kind, (str, bytes, bytearray))
+            or not issubclass(kind, (Sequence, np.ndarray))
+        }
+        if bad:
+            index = next(i for i, row in enumerate(rows) if type(row) in bad)
+            raise ValidationError(
+                f"row {index} is a {type(rows[index]).__name__}, not a "
+                f"sequence of cells ({list(columns)})"
+            )
+        rows = [tuple(row) for row in rows]
+    width = len(columns)
+    if set(map(len, rows)) - {width}:
+        index = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise ValidationError(
+            f"row {index} has {len(rows[index])} cells; rows carry {width} "
+            f"({list(columns)})"
+        )
+    return rows
+
+
+def canonical_rows(
+    rows: Iterable[Sequence[Any]], columns: Sequence[str]
+) -> list[tuple[Any, ...]]:
+    """Check one batch against the level domain; return its rows as tuples.
+
+    The serving path's single ingress pass: ``Monitor.observe`` runs it
+    once before the write-ahead-log append and ``Monitor.replay_wal`` on
+    every decoded record, so live apply and replay see the same rows.
+    ``columns`` names the cells of a row (protected attributes, then the
+    outcome). A batch of plain ``str``/``bool``/``int``/``None`` cells
+    costs one C-level pass over the cell types; any other batch (floats,
+    numpy scalars, subclasses, out-of-domain values) is walked cell by
+    cell.
+    """
+    rows = _row_tuples(rows, columns)
+    if set(map(type, chain.from_iterable(rows))) <= _PLAIN_LEVEL_TYPES:
+        return rows
+    canonical = []
+    for index, row in enumerate(rows):
+        try:
+            canonical.append(tuple(map(_canonical_level, row, columns)))
+        except ValidationError as error:
+            raise ValidationError(f"row {index}, {error}") from None
+    return canonical
 
 
 class _Axis:
@@ -95,12 +217,16 @@ class _Axis:
     def __len__(self) -> int:
         return len(self.levels)
 
-    def add_level(self, value: Any) -> int:
+    def require_dynamic(self, value: Any) -> None:
+        """Raise when ``value`` would be a new level of a pinned axis."""
         if self.pinned:
             raise ValidationError(
                 f"{value!r} is not a level of pinned axis {self.name!r}; "
                 f"levels are {self.levels}"
             )
+
+    def add_level(self, value: Any) -> int:
+        self.require_dynamic(value)
         code = len(self.levels)
         self.levels.append(value)
         self.codes[value] = code
@@ -158,6 +284,7 @@ class StreamingContingency:
         self._n_rows = 0
         self._dirty: set[tuple[int, ...]] = set()
         self._schema_version = 0
+        self._cells: dict[tuple[Any, ...], int] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -224,49 +351,69 @@ class StreamingContingency:
         pad[position] = (0, new_levels)
         self._counts = np.pad(self._counts, pad)
         self._schema_version += 1
+        # Growth changes the tensor's strides, so every cached flat
+        # index is stale.
+        self._cells.clear()
 
-    def _transpose_rows(
-        self, rows: list[tuple[Any, ...]]
-    ) -> list[tuple[Any, ...]]:
-        """Rows as per-axis value columns, validating a uniform width."""
-        width = len(self._factors) + 1
+    def _new_levels(self, axis: _Axis, values: Sequence[Any]) -> list[Any]:
+        """The distinct ``values`` that are not yet levels of ``axis``,
+        in first-seen order, as the axis will store them.
+
+        Strings and numbers (numpy scalars included) pass through
+        :func:`_canonical_level`, which stores the plain value and
+        rejects a non-finite float. Any other hashable value (a tuple,
+        say) is kept as it is: the accumulator also serves in-memory
+        audits, and the ``.rcpk`` checkpoint refuses such a level at
+        save time. The serving path never gets here with one, because
+        :func:`canonical_rows` rejects it at ingress.
+        """
         try:
-            columns = list(zip(*rows, strict=True))
-        except ValueError:
+            # dict.fromkeys dedups in C while preserving first-seen
+            # order, keeping dynamic level discovery deterministic.
+            distinct = dict.fromkeys(values)
+        except TypeError as error:
             raise ValidationError(
-                "all rows must have the same number of cells"
+                f"axis {axis.name!r}: a level must be hashable ({error})"
             ) from None
-        if len(columns) != width:
-            raise ValidationError(
-                f"rows must have {width} cells each "
-                f"({self.factor_names} + {self.outcome_name!r}), got "
-                f"{len(columns)}"
-            )
-        return columns
+        return [
+            _canonical_level(value, axis.name)
+            if isinstance(value, _SCALAR_TYPES)
+            else value
+            for value in distinct
+            if value not in axis.codes
+        ]
 
     def _flat_indices(
-        self, rows: list[tuple[Any, ...]], grow: bool
-    ) -> np.ndarray:
-        """Flat tensor index per row, growing dynamic axes when allowed.
+        self, rows: Iterable[Sequence[Any]], grow: bool
+    ) -> tuple[list[tuple[Any, ...]], np.ndarray]:
+        """The per-axis path: rows as tuples and their flat tensor indices.
 
-        Works column-at-a-time (one transpose, then per-axis dictionary
-        lookups in a fused comprehension) so a batch of k rows costs O(k)
-        with small constants, not k slow per-row inner loops.
+        Validates the row shapes, then (``grow=True``) collects every
+        axis's new levels and checks pinned axes *before* growing any
+        axis, so a rejected batch leaves levels, shape and
+        :attr:`schema_version` untouched. Works column-at-a-time (one
+        transpose, then per-axis dictionary lookups) so a batch of k rows
+        costs O(k) with small constants.
         """
-        columns = self._transpose_rows(rows)
+        axes = self._axes()
+        rows = _row_tuples(rows, [axis.name for axis in axes])
+        columns = list(zip(*rows))
         if grow:
-            for position, axis in enumerate(self._axes()):
-                before = len(axis)
-                # dict.fromkeys dedups in C while preserving first-seen
-                # order, keeping dynamic level discovery deterministic.
-                for value in dict.fromkeys(columns[position]):
-                    if value not in axis.codes:
+            additions = [
+                self._new_levels(axis, values)
+                for axis, values in zip(axes, columns)
+            ]
+            for axis, new in zip(axes, additions):
+                if new:
+                    axis.require_dynamic(new[0])
+            for position, (axis, new) in enumerate(zip(axes, additions)):
+                if new:
+                    for value in new:
                         axis.add_level(value)
-                if len(axis) > before:
-                    self._grow_axis(position, len(axis) - before)
+                    self._grow_axis(position, len(new))
         shape = self._counts.shape
         flat = np.zeros(len(rows), dtype=np.int64)
-        for position, axis in enumerate(self._axes()):
+        for position, axis in enumerate(axes):
             codes = axis.codes
             try:
                 axis_codes = np.fromiter(
@@ -278,9 +425,31 @@ class StreamingContingency:
                 raise ValidationError(
                     f"{error.args[0]!r} is not a level of axis {axis.name!r}"
                 ) from None
+            except TypeError as error:  # unhashable: never a level
+                raise ValidationError(
+                    f"axis {axis.name!r}: a level must be hashable ({error})"
+                ) from None
             flat *= shape[position]
             flat += axis_codes
-        return flat
+        return rows, flat
+
+    def _lookup(
+        self, rows: Iterable[Sequence[Any]], grow: bool
+    ) -> tuple[list[Any], np.ndarray]:
+        """Rows and their flat indices: one dict lookup per row when every
+        row is a cached cell, else the per-axis path (which fills the
+        cache)."""
+        rows = rows if type(rows) is list else list(rows)
+        try:
+            flat = np.fromiter(
+                map(self._cells.__getitem__, rows),
+                dtype=np.int64,
+                count=len(rows),
+            )
+        except (KeyError, TypeError):  # a new cell, or an unhashable row
+            rows, flat = self._flat_indices(rows, grow)
+            self._cells.update(zip(rows, flat.tolist()))
+        return rows, flat
 
     def _mark_dirty(self, flat: np.ndarray) -> None:
         group_flat = np.unique(flat // len(self._outcome))
@@ -290,14 +459,24 @@ class StreamingContingency:
     def update(self, rows: Iterable[Sequence[Any]]) -> "StreamingContingency":
         """Count rows in. Each row is ``(*factor values, outcome value)``.
 
-        Cost is O(k) dictionary lookups plus a scatter-add touching only
-        the k cells involved; dynamic axes grow (once per batch) when new
-        levels appear.
+        New levels follow the level domain: numpy scalars and
+        subclasses of ``str``/``int``/``float`` are stored as the plain
+        value, and a non-finite float, an unhashable cell, a ``str`` row
+        or a row of the wrong width rejects the batch with a
+        :class:`ValidationError` (other hashable values are kept as
+        they are; see :meth:`_new_levels`). Levels are dictionary keys,
+        so ``True``, ``1`` and ``1.0`` are one level (the first-seen
+        object is stored). A rejected batch changes nothing.
+
+        Each row tuple is looked up in a per-accumulator cache of
+        row -> flat cell index, so a batch whose cells were all seen
+        before costs one dictionary lookup per row plus a scatter-add;
+        any other batch takes the per-axis path, which grows dynamic
+        axes (once per batch) and fills the cache.
         """
-        rows = [tuple(row) for row in rows]
+        rows, flat = self._lookup(rows, grow=True)
         if not rows:
             return self
-        flat = self._flat_indices(rows, grow=True)
         np.add.at(self._counts.reshape(-1), flat, 1)
         self._n_rows += len(rows)
         self._mark_dirty(flat)
@@ -309,10 +488,9 @@ class StreamingContingency:
         Raises :class:`ValidationError` if any row was never counted in
         (a cell would go negative) or names an unseen level.
         """
-        rows = [tuple(row) for row in rows]
+        rows, flat = self._lookup(rows, grow=False)
         if not rows:
             return self
-        flat = self._flat_indices(rows, grow=False)
         cells, removals = np.unique(flat, return_counts=True)
         counts = self._counts.reshape(-1)
         if np.any(counts[cells] < removals):
@@ -441,6 +619,7 @@ class StreamingContingency:
         result._n_rows = self._n_rows + other._n_rows
         result._dirty = set()
         result._schema_version = 0
+        result._cells = {}
         for source in (self, other):
             if source._counts.size == 0:
                 continue
@@ -520,6 +699,7 @@ class StreamingContingency:
         result._n_rows = int(state["n_rows"])
         result._dirty = set()
         result._schema_version = 0
+        result._cells = {}
         return result
 
     def copy(self) -> "StreamingContingency":

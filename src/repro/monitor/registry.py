@@ -59,6 +59,7 @@ import numpy as np
 from repro.audit.auditor import DatasetAudit
 from repro.audit.stream import StreamingAuditor
 from repro.core.bayesian import PosteriorEpsilon
+from repro.core.streaming import canonical_rows
 from repro.engine.checkpoint import (
     checkpoint_generations,
     load_latest_auditor_state,
@@ -294,6 +295,7 @@ class Monitor:
         metrics: MetricsRegistry | None = None,
     ):
         self.config = config
+        self._columns = (*config.protected, config.outcome)
         self._store = store
         self._wal = wal
         self._clock = clock
@@ -429,8 +431,18 @@ class Monitor:
         restores it — so a client retry without an id would
         double-count it. Ids ride inside the WAL record and the
         checkpoint header, so deduplication itself survives crashes.
+
+        The batch is checked once, before the WAL append, against the
+        level domain of :func:`repro.core.streaming.canonical_rows`:
+        every cell a ``str``, ``bool``, ``int``, finite ``float`` or
+        ``None`` (numpy scalars and subclasses become the plain value,
+        so the live path stores exactly what replay decodes). A
+        ``str`` row, a row of the wrong width, a non-finite float or
+        any other cell type raises
+        :class:`~repro.exceptions.ValidationError` and nothing is
+        logged. ``True``, ``1`` and ``1.0`` are one level.
         """
-        rows = [tuple(row) for row in rows]
+        rows = canonical_rows(rows, self._columns)
         if not rows:
             raise ValidationError("an ingestion batch must contain rows")
         if batch_id is not None:
@@ -442,17 +454,6 @@ class Monitor:
                 raise ValidationError(
                     f"batch_id must be <= {MAX_BATCH_ID_CHARS} characters, "
                     f"got {len(batch_id)}"
-                )
-        # Validate the batch shape *before* the WAL append, so a
-        # malformed batch is rejected without ever reaching the durable
-        # log (it would be replayed as a no-op, but why store it).
-        width = len(self.config.protected) + 1
-        for row in rows:
-            if len(row) != width:
-                raise ValidationError(
-                    f"monitor {self.name!r} rows carry "
-                    f"{len(self.config.protected)} protected values plus the "
-                    f"outcome ({width} cells); got a row with {len(row)}"
                 )
         observe_started = self._metric_clock()
         with self._lock:
@@ -477,9 +478,7 @@ class Monitor:
                         f"monitor {self.name!r} ingestion is degraded "
                         f"({self._wal.degraded_reason}); retry later"
                     )
-                record: dict[str, Any] = {
-                    "rows": [list(row) for row in rows]
-                }
+                record: dict[str, Any] = {"rows": rows}
                 if batch_id is not None:
                     record["batch_id"] = batch_id
                 stage_started = self._metric_clock()
@@ -540,17 +539,19 @@ class Monitor:
         apply_started = self._metric_clock()
         with self._lock:
             try:
-                epsilon = self._auditor.observe(rows, seq=seq, replay=replay)
+                epsilon = self._auditor._observe_canonical(
+                    rows, seq=seq, replay=replay
+                )
             except ReproError:
                 if seq is not None:
                     # The batch is durably logged but unappliable; move
                     # the cursor past it so replay skips it the same way
                     # (the client got an error, not an ack).
-                    self._auditor.observe([], seq=seq, replay=replay)
+                    self._auditor._observe_canonical([], seq=seq, replay=replay)
                 raise
             cumulative = None
             if self._shadow is not None:
-                cumulative = self._shadow.observe(rows)
+                cumulative = self._shadow._observe_canonical(rows)
             self._batches += 1
             self._epsilon_tail.append(epsilon)
             context = RuleContext(
@@ -677,12 +678,22 @@ class Monitor:
                     )
             replayed = 0
             for record in self._wal.records(since=since):
-                rows = [tuple(row) for row in record.get("rows", ())]
+                seq = int(record["seq"])
                 record_batch_id = record.get("batch_id")
+                try:
+                    # The same ingress check as a live observe. A WAL
+                    # written by an older release can hold a record
+                    # outside the level domain; it is skipped like any
+                    # unappliable batch, cursor included, so the monitor
+                    # still opens and a later restart does not rescan it.
+                    rows = canonical_rows(record.get("rows", ()), self._columns)
+                except ReproError:
+                    self._auditor._observe_canonical([], seq=seq, replay=True)
+                    continue
                 try:
                     self._apply(
                         rows,
-                        seq=int(record["seq"]),
+                        seq=seq,
                         replay=True,
                         store_cutoff=store_cutoff,
                         alert_cutoff=alert_cutoff,

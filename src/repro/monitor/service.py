@@ -32,7 +32,12 @@ API
 
 Errors come back as ``{"error": message}`` with conventional status
 codes (400 bad request, 404 unknown monitor, 409 duplicate, 413 too
-large). The report endpoint's epsilon is bit-identical to
+large). Every observed cell must be in the level domain of
+:func:`repro.core.streaming.canonical_rows` — a JSON string, boolean,
+integer, finite number or ``null``; a row that is not an array of the
+monitor's width, or a cell that is ``NaN``/``Infinity``, an array or
+an object, is a 400 naming the row or the value and its column, and
+nothing is logged. The report endpoint's epsilon is bit-identical to
 :func:`repro.core.empirical.dataset_edf` on the concatenated ingested
 rows — the registry's contract, asserted end-to-end in the tests and in
 ``benchmarks/bench_service.py``.
@@ -577,11 +582,6 @@ class MonitorService:
         rows = body.get("rows")
         if not isinstance(rows, list) or not rows:
             raise _HttpError(400, 'the body must carry a non-empty "rows" list')
-        for row in rows:
-            if not isinstance(row, (list, tuple)):
-                raise _HttpError(
-                    400, "every row must be a list of cell values"
-                )
         batch_id = body.get("batch_id")
         if batch_id is not None and not isinstance(batch_id, str):
             raise _HttpError(400, '"batch_id" must be a string when given')

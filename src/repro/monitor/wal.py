@@ -62,7 +62,6 @@ from repro.monitor.store import (
     create_segment,
     encode_record,
     iter_segment_records,
-    sanitize_floats,
     scan_segment,
 )
 from repro.obs.metrics import (
@@ -366,6 +365,14 @@ class WriteAheadLog:
         batch it carries. Raises :class:`repro.exceptions.WalError` on
         any filesystem failure, after marking the log degraded; the
         caller must *not* apply or acknowledge the batch in that case.
+
+        The record must be strict JSON as it stands (no non-finite
+        floats; ``Monitor.observe`` checks every cell with
+        :func:`repro.core.streaming.canonical_rows` first), so it is
+        encoded with one ``json.dumps`` and decodes on replay to the
+        same values; anything else raises
+        :class:`repro.exceptions.ValidationError` before a byte is
+        written.
         """
         for reserved in ("seq", "ts"):
             if reserved in record:
@@ -375,11 +382,7 @@ class WriteAheadLog:
         append_started = self._metric_clock()
         with self._write_lock:
             seq = self._next_seq
-            stamped = {
-                "seq": seq,
-                "ts": float(self._clock()),
-                **sanitize_floats(record),
-            }
+            stamped = {"seq": seq, "ts": float(self._clock()), **record}
             try:
                 payload = json.dumps(
                     stamped, separators=(",", ":"), allow_nan=False

@@ -14,26 +14,47 @@ is what makes sharded and windowed deployment sound:
 
 These are checked here on arbitrary row multisets, shard assignments,
 and arrival orders.
+
+The row-to-cell cache behind ``update``/``retract`` is checked against
+:meth:`ContingencyTable.from_table` over interleaved updates and
+retractions, with levels that are equal in Python but differ in type
+(``1``, ``1.0``, ``True``) next to their string look-alike and
+non-ASCII strings, and with new levels arriving mid-stream. The
+write-ahead log's record bytes for in-domain batches are pinned to the
+v1 encoding.
 """
 
 from __future__ import annotations
+
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.audit.auditor import FairnessAuditor
-from repro.core.streaming import StreamingContingency
+from repro.core.streaming import StreamingContingency, canonical_rows
 from repro.engine.backends import tree_merge
+from repro.monitor.store import encode_record, sanitize_floats
+from repro.monitor.wal import WriteAheadLog
+from repro.tabular.column import Column
 from repro.tabular.crosstab import ContingencyTable
 from repro.tabular.table import Table
 
 FACTOR_POOLS = [
-    ("a0", "a1", "a2"),
-    ("b0", "b1"),
+    ("a0", "a1", "a2", "é"),
+    ("b0", "b1", "名前"),
     ("c0", "c1", "c2"),
 ]
 OUTCOME_POOL = ("no", "yes", "maybe")
+
+# 1 == 1.0 == True and 0 == -0.0 == False are one level each, stored
+# as the first-seen object; "1" and the non-ASCII strings are not.
+MIXED_POOL = (1, 1.0, True, "1", "é", "名前", 0, -0.0, None)
+LATE_LEVELS = (False, 2.5, "ß")
+MIXED_OUTCOMES = ("no", "yes", 1, True, "ü")
 
 
 @st.composite
@@ -258,3 +279,159 @@ class TestTreeMergeAtScale:
             [("a0", "no"), ("a0", "yes"), ("a2", "maybe"), ("a1", "no")]
         )
         assert snapshot_key(merged) == snapshot_key(serial)
+
+
+@st.composite
+def mixed_streams(draw):
+    """(factor names, batches): mixed-type levels, new ones mid-stream."""
+    n_factors = draw(st.integers(1, 3))
+    names = [f"f{index}" for index in range(n_factors)]
+
+    def rows(pool, outcomes):
+        cell = st.tuples(
+            *(st.sampled_from(pool) for _ in names), st.sampled_from(outcomes)
+        )
+        return st.lists(cell, min_size=1, max_size=15)
+
+    early = rows(MIXED_POOL, MIXED_OUTCOMES)
+    late = rows(MIXED_POOL + LATE_LEVELS, MIXED_OUTCOMES + ("late",))
+    n_batches = draw(st.integers(1, 6))
+    batches = [
+        draw(early if index < n_batches // 2 else late)
+        for index in range(n_batches)
+    ]
+    return names, batches
+
+
+def typed_fingerprint(contingency: ContingencyTable):
+    """Levels with their exact type and repr, plus the count bytes."""
+    return (
+        [
+            [(type(level), repr(level)) for level in levels]
+            for levels in [*contingency.factor_levels, contingency.outcome_levels]
+        ],
+        contingency.counts.dtype,
+        contingency.counts.tobytes(),
+    )
+
+
+def from_table_reference(names, seen, counted) -> ContingencyTable:
+    """``from_table`` over the counted rows, with the categorical levels
+    ``Column.categorical`` infers from every row ever counted in (a
+    retraction zeroes counts but keeps levels)."""
+    columns = [*names, "y"]
+    inferred = Table.from_dict(
+        {name: [row[i] for row in seen] for i, name in enumerate(columns)},
+        categorical=columns,
+    )
+    table = Table(
+        [
+            Column.categorical(
+                name,
+                [row[i] for row in counted],
+                levels=inferred.column(name).levels,
+            )
+            for i, name in enumerate(columns)
+        ]
+    )
+    return ContingencyTable.from_table(table, names, "y")
+
+
+class TestCachedRowPath:
+    @given(mixed_streams(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_interleaved_update_retract_matches_from_table(self, stream, data):
+        names, batches = stream
+        accumulator = StreamingContingency(names, "y")
+        seen: list = []
+        counted: list = []
+        for batch in batches:
+            accumulator.update(batch)
+            seen.extend(batch)
+            counted.extend(batch)
+            picks = data.draw(
+                st.sets(st.integers(0, len(counted) - 1), max_size=len(counted))
+            )
+            accumulator.retract(
+                data.draw(st.permutations([counted[i] for i in picks]))
+            )
+            counted = [row for i, row in enumerate(counted) if i not in picks]
+            assert accumulator.n_rows == len(counted)
+            # At most one cache entry per cell (equal rows share one).
+            assert len(accumulator._cells) <= accumulator.counts.size
+            assert typed_fingerprint(accumulator.snapshot()) == typed_fingerprint(
+                from_table_reference(names, seen, counted)
+            )
+
+    @given(mixed_streams(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_merged_and_restored_accumulators_keep_counting(self, stream, data):
+        """``merge`` and ``from_state`` build through ``__new__``; both
+        start an empty cache and then count like a serial pass."""
+        names, batches = stream
+        split = data.draw(st.integers(0, len(batches)))
+        prefix = [row for batch in batches[:split] for row in batch]
+        suffix = [row for batch in batches[split:] for row in batch]
+        left = StreamingContingency(names, "y").update(prefix)
+        right = StreamingContingency(names, "y").update(prefix[::-1])
+        merged = left.merge(right)  # counts the prefix twice
+        restored = StreamingContingency.from_state(left.state_dict())
+        for batch in batches[split:]:
+            merged.update(batch)
+            restored.update(batch)
+        for accumulator, rows in (
+            (merged, prefix * 2 + suffix),
+            (restored, prefix + suffix),
+        ):
+            assert typed_fingerprint(accumulator.snapshot()) == typed_fingerprint(
+                from_table_reference(names, rows, rows)
+            )
+
+
+cells = st.one_of(
+    st.text(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.none(),
+)
+
+
+@st.composite
+def in_domain_records(draw):
+    width = draw(st.integers(1, 4))
+    rows = draw(
+        st.lists(
+            st.lists(cells, min_size=width, max_size=width), min_size=1, max_size=8
+        )
+    )
+    record = {"rows": rows}
+    if draw(st.booleans()):
+        record["batch_id"] = draw(st.text(min_size=1, max_size=16))
+    return width, record
+
+
+class TestWalRecordBytes:
+    @given(in_domain_records())
+    @settings(max_examples=60, deadline=None)
+    def test_payload_is_the_v1_encoding(self, case):
+        width, record = case
+        ts = 1_700_000_000.25
+        canonical = canonical_rows(record["rows"], [f"c{i}" for i in range(width)])
+        with tempfile.TemporaryDirectory() as directory:
+            wal = WriteAheadLog(directory, fsync=False, clock=lambda: ts)
+            wal.append({**record, "rows": canonical})
+            (replayed,) = wal.records()
+            wal.close()
+            segment = next(Path(directory).glob("wal-*.seg")).read_bytes()
+        v1 = json.dumps(
+            sanitize_floats({"seq": 1, "ts": ts, **record}),
+            separators=(",", ":"),
+            allow_nan=False,
+        ).encode("utf-8")
+        assert segment.endswith(encode_record(v1))
+        # Replay decodes exactly the values (and types) the live path saw.
+        decoded = canonical_rows(replayed["rows"], [f"c{i}" for i in range(width)])
+        assert [[(type(c), c) for c in row] for row in decoded] == [
+            [(type(c), c) for c in row] for row in canonical
+        ]
