@@ -1,21 +1,21 @@
-"""Perf bench: pipelined shared-memory ingest and the columnar cache.
+"""Perf bench: the process-pool ingest and the columnar cache.
 
-The execution engine's claim is threefold. *Correctness*: every
-:class:`repro.engine.backends.ProcessPoolBackend` mode — blocking or
-pipelined, queue or shared-memory transport, parsed CSV or ``.rccol``
-column cache — is **bit-identical** to :class:`SerialBackend` (same
-count integers, same epsilon, same posterior summaries per seed); that
-part is asserted unconditionally, on every machine. *Parallel
-throughput*: CSV parsing dominates ingestion and parallelises
-embarrassingly, and the pipelined coordinator (bounded in-flight
-window, count tensors returned through a shared-memory ring instead of
-the pickled result queue) removes the merge barrier, so K workers on K
-free cores approach a K-fold speedup; the acceptance target is
-**>= 3x at 4 workers** on a >= 1M-row stream. *Warm re-audits*: once
-the column cache exists, re-auditing the unchanged file skips CSV
-parsing entirely — mmap'd code arrays straight into the count kernel —
-with an acceptance target of **>= 10x over the cold parse**, asserted
-on every machine (it is an I/O-shape win, not a core-count win).
+The execution engine's claim is threefold. *Correctness*: every way of
+running :class:`repro.engine.backends.ProcessPoolBackend` — parsed CSV
+or ``.rccol`` column cache, at every worker count — is
+**bit-identical** to :class:`SerialBackend` (same count integers, same
+epsilon, same posterior summaries per seed); that part is asserted
+unconditionally, on every machine. *Parallel throughput*: CSV parsing
+dominates ingestion and parallelises embarrassingly, and the pool's
+coordinator keeps a bounded window of tasks in flight, merging the
+count tensors workers return through the result queue while later
+parts are still being parsed, so K workers on K free cores approach a
+K-fold speedup; the acceptance target is **>= 3x at 4 workers** on a
+>= 1M-row stream. *Warm re-audits*: once the column cache exists,
+re-auditing the unchanged file skips CSV parsing entirely — mmap'd
+code arrays straight into the count kernel — with an acceptance target
+of **>= 10x over the cold parse**, asserted on every machine (it is an
+I/O-shape win, not a core-count win).
 
 The parallel speedup is physical parallelism, so that guard only
 asserts the target when the hardware can express it
@@ -150,23 +150,7 @@ def test_pool_ingest_is_bit_identical_and_timed(million_row_csv):
     }
     serial_row = _RESULTS["serial_cold"]
 
-    # The PR-4 blocking coordinator (one shard per worker, full barrier,
-    # pickled result queue): the baseline the pipelined engine replaces.
-    with ProcessPoolBackend(
-        TARGET_WORKERS, pipelined=False, use_shared_memory=False
-    ) as backend:
-        seconds, pooled = _timed_build(backend, source, spec)
-    _record(
-        f"pool{TARGET_WORKERS}_blocking",
-        seconds,
-        pooled,
-        serial_row,
-        workers=TARGET_WORKERS,
-        mode="blocking barrier, queue transport",
-        cache="cold (CSV parse)",
-    )
-
-    # The pipelined shared-memory engine, at each worker count.
+    # The pool at each worker count.
     for workers in WORKER_COUNTS:
         with ProcessPoolBackend(workers) as backend:
             seconds, pooled = _timed_build(backend, source, spec)
@@ -176,7 +160,7 @@ def test_pool_ingest_is_bit_identical_and_timed(million_row_csv):
             pooled,
             serial_row,
             workers=workers,
-            mode="pipelined window, shared-memory ring transport",
+            mode="bounded in-flight window, result-queue transport",
             cache="cold (CSV parse)",
         )
 
@@ -215,7 +199,7 @@ def test_column_cache_cold_build_and_warm_reaudit(million_row_csv, tmp_path):
         cache="warm (mmap .rccol)",
     )
 
-    # Warm + pipelined pool: workers read mmap row ranges, no parsing.
+    # Warm pool: workers read mmap row ranges, no parsing.
     with ProcessPoolBackend(TARGET_WORKERS) as backend:
         seconds, pooled = _timed_build(
             backend, _source(million_row_csv, cache_path), spec
@@ -226,7 +210,7 @@ def test_column_cache_cold_build_and_warm_reaudit(million_row_csv, tmp_path):
         pooled,
         serial_row,
         workers=TARGET_WORKERS,
-        mode="pipelined window, shared-memory ring transport",
+        mode="bounded in-flight window, result-queue transport",
         cache="warm (mmap .rccol)",
     )
 
@@ -261,21 +245,18 @@ def test_zz_speedup_guards_and_record(million_row_csv):
         "benchmark": "bench_parallel",
         "workload": "cumulative contingency ingest of a synthetic census "
         "CSV stream. Modes: SerialBackend (one ordered chunk loop); "
-        "ProcessPoolBackend blocking (one shard per worker, full barrier, "
-        "pickled result queue — the engine this PR replaces); "
-        "ProcessPoolBackend pipelined (bounded in-flight window, count "
-        "tensors returned through a CRC-validated shared-memory ring); "
-        "and both serial and pipelined over a warm .rccol column cache "
-        "(mmap'd factorised codes, no CSV parsing). Bit-identical counts "
-        "and epsilon asserted against the serial pass before every "
-        "timing is recorded.",
+        "ProcessPoolBackend (bounded in-flight window, count tensors "
+        "returned through the pool's result queue); and both serial and "
+        "pool over a warm .rccol column cache (mmap'd factorised codes, "
+        "no CSV parsing). Bit-identical counts and epsilon asserted "
+        "against the serial pass before every timing is recorded.",
         "n_rows": N_ROWS,
         "cpu_count": os.cpu_count(),
         "targets": {
             "parallel": {
                 "workers": TARGET_WORKERS,
                 "min_speedup": TARGET_SPEEDUP,
-                "note": "pipelined pool vs cold serial parse; physical "
+                "note": "pool vs cold serial parse; physical "
                 "parallelism: asserted only when cpu_count >= target "
                 "workers",
             },

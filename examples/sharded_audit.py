@@ -60,7 +60,8 @@ serial = auditor.audit_csv(source)
 print(f"serial ingest:        epsilon = {serial.epsilon:.6f}")
 
 # --- topology 2: a process pool on this machine -------------------------
-pooled = auditor.audit_csv(source, backend=ProcessPoolBackend(WORKERS))
+with ProcessPoolBackend(WORKERS) as backend:
+    pooled = auditor.audit_csv(source, backend=backend)
 print(f"{WORKERS}-worker pool ingest: epsilon = {pooled.epsilon:.6f}")
 assert pooled.to_text() == serial.to_text(), "pool must be bit-identical"
 

@@ -14,8 +14,8 @@ Commands
     printed, and the final report describes the last window — the
     continuous-monitoring workflow, demonstrated on a file. Execution
     is pluggable: ``--workers N`` fans shards of the file out to a
-    pipelined process pool whose workers return count tensors through
-    shared memory (bit-identical output), ``--column-cache PATH``
+    process pool whose workers return only count tensors through its
+    result queue (bit-identical output), ``--column-cache PATH``
     parses the CSV once into a mmap-able ``.rccol`` columnar cache so
     re-audits skip parsing entirely, ``--checkpoint PATH`` writes a
     durable ``.rcpk`` checkpoint after every chunk, and ``--resume``
@@ -73,11 +73,11 @@ Deployment topologies:
                    (add --window W for a sliding window of the last W rows)
   process pool     audit-stream data.csv ... --workers 4
                    byte-range shards of the file are counted by a
-                   persistent pool of worker processes; per-chunk count
-                   tensors come back through a CRC-validated shared-
-                   memory ring (no pickling) while the coordinator
-                   merges ahead of the stream; output is byte-identical
-                   to the serial run (cumulative audits only)
+                   persistent pool of worker processes; only per-chunk
+                   count tensors come back, through the pool's result
+                   queue, while the coordinator merges ahead of the
+                   stream; output is byte-identical to the serial run
+                   (cumulative audits only)
   warm re-audits   audit-stream data.csv ... --column-cache data.rccol
                    first run parses the CSV once into a packed columnar
                    cache (factorised level tables + mmap-able int32

@@ -9,13 +9,9 @@ topologies:
 * :mod:`repro.engine.backends` — the :class:`ExecutionBackend` contract
   plus :class:`SerialBackend` (one process, ordered chunks, windows and
   resume) and :class:`ProcessPoolBackend` (byte-range CSV shards or
-  column-cache row ranges fanned out to a persistent worker pool,
-  merged by a pipelined coordinator — bit-identical to the serial
-  pass);
-* :mod:`repro.engine.ipc` — the shared-memory ring buffer that carries
-  per-chunk count tensors from workers to the coordinator without
-  pickling (seq-stamped, CRC-validated slots; descriptor-only result
-  queue);
+  column-cache row ranges fanned out to a persistent worker pool whose
+  count states come back through the result queue, merged by a
+  bounded-window coordinator — bit-identical to the serial pass);
 * :mod:`repro.engine.checkpoint` — the versioned ``.rcpk`` on-disk
   checkpoint format (atomic write-rename, CRC corruption detection)
   for :class:`StreamingContingency` and
@@ -31,13 +27,6 @@ from repro.engine.backends import (
     ProcessPoolBackend,
     SerialBackend,
     tree_merge,
-)
-from repro.engine.ipc import (
-    SharedCountRing,
-    SlotDescriptor,
-    decode_counts_state,
-    encode_counts_state,
-    ring_slot_size,
 )
 from repro.engine.checkpoint import (
     CHECKPOINT_SUFFIX,
@@ -60,17 +49,12 @@ __all__ = [
     "ExecutionBackend",
     "ProcessPoolBackend",
     "SerialBackend",
-    "SharedCountRing",
-    "SlotDescriptor",
     "checkpoint_generations",
-    "decode_counts_state",
-    "encode_counts_state",
     "load_auditor_state",
     "load_checkpoint",
     "load_contingency",
     "load_latest_auditor_state",
     "merge_checkpoint_files",
-    "ring_slot_size",
     "rotate_checkpoint",
     "save_auditor_state",
     "save_contingency",

@@ -28,28 +28,24 @@ machines, and every topology produces bit-identical results.
 
 :class:`ProcessPoolBackend`
     Fans spans of the source out to a persistent pool of worker
-    processes and merges their counts. Three engine properties make it
-    fast rather than merely parallel:
+    processes and merges their counts. A worker returns each unit's
+    ``state_dict()`` through the executor's result queue: one count
+    tensor, the only thing that crosses a process boundary. Two engine
+    properties make it fast rather than merely parallel:
 
-    * **Pipelined coordinator** — task submission runs a bounded
-      in-flight window ahead of consumption, so the coordinator merges
-      chunk *i* while workers parse chunks *i+1 … i+W*; the old
-      parse↔merge barrier is gone. Results still arrive in chunk order,
-      preserving the chunk-aligned epsilon-trace contract.
-    * **Shared-memory transport** (:mod:`repro.engine.ipc`) — workers
-      write each chunk's count tensor into a slot of a shared-memory
-      ring (seq-stamped, CRC-checked) and send only a small descriptor
-      through the result queue; the coordinator decodes the tensor in
-      place and recycles the slot. No per-chunk pickling of counts.
+    * **Bounded in-flight window** — the coordinator submits up to
+      ``max(2, 2 * workers)`` tasks ahead of consumption, so it merges
+      chunk *i* while workers parse chunks *i+1 … i+W*. Results still
+      arrive in chunk order, preserving the chunk-aligned epsilon-trace
+      contract.
     * **Columnar cache awareness** — when the :class:`CsvSource` names
       a ``.rccol`` column cache (:mod:`repro.tabular.colcache`), workers
       read their row ranges as mmap slices of pre-factorised int32
       codes instead of re-parsing CSV text.
 
-    Correctness never leans on any of it: every transport validates
-    (CRC + sequence stamps), every fallback (oversized state → result
-    queue) is exact, and chunk boundaries are byte-identical to
-    :class:`SerialBackend`'s.
+    Chunk boundaries are byte-identical to :class:`SerialBackend`'s,
+    and a worker whose parsed row count disagrees with the planner's
+    fails loudly instead of shifting them.
 
 The pool is constructed lazily and **reused across calls** on the same
 backend instance; call :meth:`ProcessPoolBackend.close` (or use the
@@ -68,14 +64,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.streaming import StreamingContingency
-from repro.engine.ipc import (
-    SharedCountRing,
-    SlotDescriptor,
-    attach_ring,
-    decode_counts_state,
-    encode_counts_state,
-    ring_slot_size,
-)
 from repro.exceptions import CsvParseError, ValidationError
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -210,28 +198,23 @@ def tree_merge(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class _SpanTask:
-    """One worker assignment: parse/count these spans, ship their states.
+    """One worker assignment: count one unit, ship its state.
 
-    Exactly one of two read modes is active: CSV mode (``spans`` byte
-    ranges parsed under ``plan``) or cache mode (``row_ranges`` sliced
-    from the mmap'd column cache at ``cache_path``). When ``ring`` is
-    set, each span's encoded count state goes into its preassigned
-    ``(slot, seq)`` of the shared-memory ring and only a descriptor
-    returns through the queue; otherwise the raw state dict does.
+    Exactly one read mode is active: CSV mode (``span``, a byte range
+    parsed under ``plan``) or cache mode (``row_range``, sliced from the
+    mmap'd column cache at ``cache_path``).
     """
 
     path: str
     plan: CsvPlan | None
     spec: ContingencySpec
-    first_index: int
+    index: int
     batch_rows: int = 4096
-    spans: tuple[CsvSpan, ...] = ()
+    span: CsvSpan | None = None
     cache_path: str | None = None
     cache_token: tuple[int, int] | None = None
-    row_ranges: tuple[tuple[int, int], ...] = ()
+    row_range: tuple[int, int] | None = None
     schema: Schema | None = None
-    ring: tuple[str, int, int] | None = None
-    slots: tuple[tuple[int, int], ...] = ()
 
 
 # One validated cache mapping per worker process, keyed by (path, token)
@@ -251,7 +234,8 @@ def _worker_cache(path: str, token: tuple[int, int]) -> ColumnCache:
     return cache
 
 
-def _count_csv_span(task: _SpanTask, span: CsvSpan) -> StreamingContingency:
+def _count_csv_span(task: _SpanTask) -> StreamingContingency:
+    span = task.span
     accumulator = task.spec.new_accumulator()
     parsed = 0
     buffer: list[list[str]] = []
@@ -273,11 +257,10 @@ def _count_csv_span(task: _SpanTask, span: CsvSpan) -> StreamingContingency:
     return accumulator
 
 
-def _count_cache_range(
-    task: _SpanTask, start: int, stop: int
-) -> StreamingContingency:
+def _count_cache_range(task: _SpanTask) -> StreamingContingency:
     cache = _worker_cache(task.cache_path, task.cache_token)
     accumulator = task.spec.new_accumulator()
+    start, stop = task.row_range
     for batch_start in range(start, stop, task.batch_rows):
         accumulator.update_table(
             cache.table_slice(
@@ -289,37 +272,18 @@ def _count_cache_range(
     return accumulator
 
 
-def _count_task(task: _SpanTask) -> list[tuple[int, int, Any]]:
-    """Worker entry point: ``(span index, n_rows, transport)`` per span.
+def _count_task(task: _SpanTask) -> tuple[int, int, dict[str, Any]]:
+    """Worker entry point: ``(unit index, n_rows, state_dict())``.
 
     Module-level so it pickles under every multiprocessing start
-    method. ``transport`` is a :class:`SlotDescriptor` when the state
-    went through the shared-memory ring, or the raw state dict when no
-    ring is attached / the state outgrew its slot. Workers never
-    estimate probabilities — they only count — so the coordinator's
-    estimator choice cannot skew shard results.
+    method. Workers never estimate probabilities — they only count — so
+    the coordinator's estimator choice cannot skew shard results.
     """
-    units: Sequence[Any] = (
-        task.row_ranges if task.cache_path is not None else task.spans
-    )
-    ring = attach_ring(*task.ring) if task.ring is not None else None
-    results: list[tuple[int, int, Any]] = []
-    for offset, unit in enumerate(units):
-        if task.cache_path is not None:
-            accumulator = _count_cache_range(task, unit[0], unit[1])
-        else:
-            accumulator = _count_csv_span(task, unit)
-        state = accumulator.state_dict()
-        transport: Any = state
-        if ring is not None:
-            payload = encode_counts_state(state)
-            if len(payload) <= ring.payload_capacity:
-                slot, seq = task.slots[offset]
-                transport = ring.write_slot(slot, seq, payload)
-        results.append(
-            (task.first_index + offset, accumulator.n_rows, transport)
-        )
-    return results
+    if task.cache_path is not None:
+        accumulator = _count_cache_range(task)
+    else:
+        accumulator = _count_csv_span(task)
+    return task.index, accumulator.n_rows, accumulator.state_dict()
 
 
 class ExecutionBackend:
@@ -453,30 +417,14 @@ class ProcessPoolBackend(ExecutionBackend):
     """Multi-process ingestion: shard the source, count, merge.
 
     ``workers`` processes each read their assignment independently —
-    byte-range CSV seeks, or mmap slices of the column cache — and ship
-    compact count-tensor states back over the shared-memory ring (or
-    the result queue as fallback). Results are bit-identical to
-    :class:`SerialBackend` because the counts are the same integers and
-    the merge algebra is exact.
+    byte-range CSV seeks, or mmap slices of the column cache — and
+    return compact count-tensor states through the pool's result queue.
+    Results are bit-identical to :class:`SerialBackend` because the
+    counts are the same integers and the merge algebra is exact.
 
-    Parameters
-    ----------
-    workers:
-        Worker process count.
-    pipelined:
-        Overlap worker parsing with coordinator merging through a
-        bounded in-flight window (default). ``False`` restores the
-        PR-4 blocking coordinator — kept for benchmarking the overlap,
-        not for production use.
-    use_shared_memory:
-        Transport count tensors through a :class:`SharedCountRing`
-        (default). ``False`` ships states through the result queue
-        (pickled) — again, the benchmark baseline.
-    inflight_per_worker:
-        In-flight window (and ring capacity) as a multiple of
-        ``workers``; memory stays fixed at
-        ``workers * inflight_per_worker`` encoded states regardless of
-        stream length.
+    The coordinator keeps a bounded window of ``max(2, 2 * workers)``
+    tasks in flight, so memory stays at that many count states however
+    long the stream is. With ``workers=1`` the tasks run in-process.
 
     The worker pool is created lazily on first use and **reused across
     calls**; :meth:`close` (or the context-manager exit) shuts it down.
@@ -490,22 +438,13 @@ class ProcessPoolBackend(ExecutionBackend):
         self,
         workers: int,
         *,
-        pipelined: bool = True,
-        use_shared_memory: bool = True,
-        inflight_per_worker: int = 2,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
     ):
         if int(workers) < 1:
             raise ValidationError(f"workers must be >= 1, got {workers}")
-        if int(inflight_per_worker) < 1:
-            raise ValidationError(
-                f"inflight_per_worker must be >= 1, got {inflight_per_worker}"
-            )
         self.workers = int(workers)
-        self.pipelined = bool(pipelined)
-        self.use_shared_memory = bool(use_shared_memory)
-        self.inflight_per_worker = int(inflight_per_worker)
+        self._window = max(2, 2 * self.workers)
         self._pool: ProcessPoolExecutor | None = None
         self._closed = False
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -529,11 +468,6 @@ class ProcessPoolBackend(ExecutionBackend):
             "Tasks currently in flight in the pipelined coordinator "
             "window (0 when idle).",
         )
-        self._metric_ring_fallback = registry.counter(
-            "repro_engine_ring_fallback_total",
-            "Chunk states too large for a shared-memory ring slot, "
-            "shipped through the pickled result queue instead.",
-        )
         self._metric_chunks = registry.counter(
             "repro_engine_chunks_total",
             "Chunks materialised by the coordinator.",
@@ -549,11 +483,7 @@ class ProcessPoolBackend(ExecutionBackend):
         )
 
     def __repr__(self) -> str:
-        return (
-            f"ProcessPoolBackend(workers={self.workers}, "
-            f"pipelined={self.pipelined}, "
-            f"use_shared_memory={self.use_shared_memory})"
-        )
+        return f"ProcessPoolBackend(workers={self.workers})"
 
     # ------------------------------------------------------------------
     # Pool lifecycle (reused across build/iter_chunk_counts calls)
@@ -604,62 +534,70 @@ class ProcessPoolBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # Coordinator internals
     # ------------------------------------------------------------------
-    @property
-    def _window(self) -> int:
-        return max(2, self.workers * self.inflight_per_worker)
+    def _plan_tasks(
+        self, source: CsvSource, spec: ContingencySpec, *, chunked: bool
+    ) -> list[_SpanTask]:
+        """One task per unit of work, in stream order.
 
-    def _new_ring(self, spec: ContingencySpec) -> SharedCountRing | None:
-        if not self.use_shared_memory:
-            return None
-        return SharedCountRing(self._window, ring_slot_size(spec))
-
-    @staticmethod
-    def _ring_fields(
-        ring: SharedCountRing | None, seq: int
-    ) -> tuple[tuple[str, int, int] | None, tuple[tuple[int, int], ...]]:
-        if ring is None:
-            return None, ()
-        return (
-            (ring.name, ring.n_slots, ring.slot_size),
-            ((seq % ring.n_slots, seq),),
-        )
-
-    def _materialise(
-        self, ring: SharedCountRing | None, transport: Any
-    ) -> StreamingContingency:
-        """Decode a worker's transport into an accumulator (one copy)."""
-        started = self._metric_clock()
-        if isinstance(transport, SlotDescriptor):
-            if ring is None:
-                raise ValidationError(
-                    "received a shared-memory descriptor without a ring"
+        ``chunked`` units follow the serial chunk boundaries (chunk-
+        aligned CSV spans, or ``chunk_rows`` cache row ranges); otherwise
+        the source splits into ``2 * window`` even parts, more parts
+        than workers so merging overlaps parsing.
+        """
+        plan = source.plan()
+        if source.column_cache is not None:
+            cache = source.open_cache(plan)
+            try:
+                n_rows = cache.n_rows
+            finally:
+                cache.close()
+            stat = os.stat(source.column_cache)
+            if chunked:
+                bounds = list(range(0, n_rows, source.chunk_rows)) + [n_rows]
+            else:
+                parts = 2 * self._window
+                bounds = [n_rows * part // parts for part in range(parts + 1)]
+            ranges = [
+                (start, stop)
+                for start, stop in zip(bounds, bounds[1:])
+                if stop > start
+            ]
+            if not ranges:
+                raise CsvParseError("no data rows found")
+            return [
+                _SpanTask(
+                    source.path,
+                    None,
+                    spec,
+                    index,
+                    source.chunk_rows,
+                    cache_path=source.column_cache,
+                    cache_token=(stat.st_size, stat.st_mtime_ns),
+                    row_range=row_range,
+                    schema=source.schema,
                 )
-            view = ring.read_slot(transport)
-            accumulator = StreamingContingency.from_state(
-                decode_counts_state(view)
-            )
-            view.release()
+                for index, row_range in enumerate(ranges)
+            ]
+        if chunked:
+            spans = plan_csv_chunks(source.path, plan, source.chunk_rows)
+            if not spans:
+                raise CsvParseError("no data rows found")
         else:
-            if ring is not None:
-                # The state outgrew its ring slot and came back pickled.
-                self._metric_ring_fallback.inc()
-            accumulator = StreamingContingency.from_state(transport)
-        self._metric_stage_seconds["decode"].observe(
-            self._metric_clock() - started
-        )
-        self._metric_chunks.inc()
-        self._metric_rows.inc(accumulator.n_rows)
-        return accumulator
+            spans = plan_csv_shards(source.path, plan, 2 * self._window)
+        return [
+            _SpanTask(
+                source.path, plan, spec, index, source.chunk_rows, span=span
+            )
+            for index, span in enumerate(spans)
+        ]
 
-    def _drive(self, tasks) -> Iterator[list[tuple[int, int, Any]]]:
-        """Run single-span tasks with a bounded in-flight window.
+    def _drive(
+        self, tasks: list[_SpanTask]
+    ) -> Iterator[tuple[int, int, dict[str, Any]]]:
+        """Run tasks with a bounded in-flight window, in task order.
 
-        Results come back in task (= chunk) order; up to ``_window``
-        tasks are submitted ahead of consumption, so workers parse
-        ahead while the coordinator merges — and because a task's ring
-        slot is ``seq % n_slots``, the window bound *is* the slot
-        recycling rule: seq ``s`` reuses the slot of seq ``s - W``,
-        which was consumed before ``s`` could be submitted.
+        Up to ``_window`` tasks are submitted ahead of consumption, so
+        workers parse ahead while the coordinator merges.
         """
         clock = self._metric_clock
         if self.workers == 1:
@@ -695,7 +633,7 @@ class ProcessPoolBackend(ExecutionBackend):
         except BrokenProcessPool:
             # A worker died mid-chunk (OOM-kill, segfault, SIGKILL).
             # The pool is unusable: discard it so the next call starts
-            # a fresh one, and let the caller's finally unlink the ring.
+            # a fresh one.
             self._discard_pool()
             raise
         finally:
@@ -703,99 +641,38 @@ class ProcessPoolBackend(ExecutionBackend):
             for future in pending:
                 future.cancel()
 
-    def _blocking_results(self, tasks: list[_SpanTask]):
-        """The PR-4 coordinator: grouped tasks, full barrier per batch."""
-        if not tasks:
-            return
-        if len(tasks) == 1 or self.workers == 1:
-            for task in tasks:
-                yield _count_task(task)
-            return
-        pool = self._ensure_pool()
-        try:
-            yield from pool.map(_count_task, tasks)
-        except BrokenProcessPool:
-            self._discard_pool()
-            raise
+    def _ingest(
+        self, source: CsvSource, spec: ContingencySpec, *, chunked: bool
+    ) -> Iterator[ChunkCounts]:
+        """Plan, drive and decode: the one path behind both calls.
 
-    # ------------------------------------------------------------------
-    # Task planning
-    # ------------------------------------------------------------------
-    def _csv_chunk_tasks(
-        self,
-        source: CsvSource,
-        plan: CsvPlan,
-        spec: ContingencySpec,
-        spans: list[CsvSpan],
-        ring: SharedCountRing | None,
-    ) -> Iterator[_SpanTask]:
-        for seq, span in enumerate(spans):
-            ring_fields, slots = self._ring_fields(ring, seq)
-            yield _SpanTask(
-                source.path,
-                plan,
-                spec,
-                seq,
-                source.chunk_rows,
-                spans=(span,),
-                ring=ring_fields,
-                slots=slots,
-            )
-
-    def _cache_tasks(
-        self,
-        source: CsvSource,
-        spec: ContingencySpec,
-        cache_path: str,
-        cache_token: tuple[int, int],
-        ranges: list[tuple[int, int]],
-        ring: SharedCountRing | None,
-    ) -> Iterator[_SpanTask]:
-        for seq, row_range in enumerate(ranges):
-            ring_fields, slots = self._ring_fields(ring, seq)
-            yield _SpanTask(
-                source.path,
-                None,
-                spec,
-                seq,
-                source.chunk_rows,
-                cache_path=cache_path,
-                cache_token=cache_token,
-                row_ranges=(row_range,),
-                schema=source.schema,
-                ring=ring_fields,
-                slots=slots,
-            )
-
-    def _prepare_cache(
-        self, source: CsvSource, plan: CsvPlan
-    ) -> tuple[str, tuple[int, int], int] | None:
-        """Ensure the cache is fresh; return (path, file token, n_rows)."""
-        if source.column_cache is None:
-            return None
-        cache = source.open_cache(plan)
-        try:
-            n_rows = cache.n_rows
-        finally:
-            cache.close()
-        stat = os.stat(source.column_cache)
-        return source.column_cache, (stat.st_size, stat.st_mtime_ns), n_rows
-
-    @staticmethod
-    def _even_ranges(n_rows: int, n_parts: int) -> list[tuple[int, int]]:
-        bounds = [n_rows * part // n_parts for part in range(n_parts + 1)]
-        return [
-            (start, stop)
-            for start, stop in zip(bounds, bounds[1:])
-            if stop > start
-        ]
-
-    @staticmethod
-    def _chunk_ranges(n_rows: int, chunk_rows: int) -> list[tuple[int, int]]:
-        return [
-            (start, min(start + chunk_rows, n_rows))
-            for start in range(0, n_rows, chunk_rows)
-        ]
+        Units that counted no rows (an even ``build`` part can be empty;
+        a chunk never is) are skipped.
+        """
+        results = self._drive(self._plan_tasks(source, spec, chunked=chunked))
+        clock = self._metric_clock
+        # The "ingest" span stays on this thread's span stack while the
+        # generator is suspended, so a consumer folding chunks between
+        # yields (build's merge, the streaming auditor's "merge" spans)
+        # nests under it in the trace.
+        with self.tracer.span("ingest", backend=self.name, path=source.path):
+            while True:
+                with self.tracer.span("parse"):
+                    result = next(results, None)
+                if result is None:
+                    return
+                index, n_rows, state = result
+                if not n_rows:
+                    continue
+                with self.tracer.span("decode", chunk=index, rows=n_rows):
+                    started = clock()
+                    counts = StreamingContingency.from_state(state)
+                    self._metric_stage_seconds["decode"].observe(
+                        clock() - started
+                    )
+                self._metric_chunks.inc()
+                self._metric_rows.inc(n_rows)
+                yield ChunkCounts(index, n_rows, counts)
 
     # ------------------------------------------------------------------
     # The backend contract
@@ -803,166 +680,19 @@ class ProcessPoolBackend(ExecutionBackend):
     def build(
         self, source: CsvSource, spec: ContingencySpec
     ) -> StreamingContingency:
-        plan = source.plan()
-        cached = self._prepare_cache(source, plan)
-        ring = self._new_ring(spec) if self.pipelined else None
-        try:
-            if cached is not None:
-                cache_path, cache_token, n_rows = cached
-                if n_rows == 0:
-                    raise CsvParseError("no data rows found")
-                # More parts than workers so merging overlaps parsing.
-                ranges = self._even_ranges(n_rows, self._window * 2)
-                tasks = self._cache_tasks(
-                    source, spec, cache_path, cache_token, ranges, ring
-                )
-            elif self.pipelined:
-                spans = plan_csv_shards(
-                    source.path, plan, self._window * 2
-                )
-                tasks = self._csv_chunk_tasks(source, plan, spec, spans, ring)
-            else:
-                spans = plan_csv_shards(source.path, plan, self.workers)
-                tasks = [
-                    _SpanTask(
-                        source.path,
-                        plan,
-                        spec,
-                        index,
-                        source.chunk_rows,
-                        spans=(span,),
-                    )
-                    for index, span in enumerate(spans)
-                ]
-            merged: StreamingContingency | None = None
-            results = iter(
-                self._drive(tasks)
-                if self.pipelined
-                else self._blocking_results(list(tasks))
-            )
-            clock = self._metric_clock
-            with self.tracer.span(
-                "ingest", backend=self.name, path=source.path
-            ):
-                while True:
-                    with self.tracer.span("parse"):
-                        batch = next(results, None)
-                    if batch is None:
-                        break
-                    for _index, n_rows, transport in batch:
-                        if not n_rows:
-                            continue
-                        with self.tracer.span(
-                            "decode", chunk=_index, rows=n_rows
-                        ):
-                            counts = self._materialise(ring, transport)
-                        merge_started = clock()
-                        with self.tracer.span("merge", chunk=_index):
-                            merged = (
-                                counts
-                                if merged is None
-                                else merged.merge(counts)
-                            )
-                        self._metric_stage_seconds["merge"].observe(
-                            clock() - merge_started
-                        )
-            if merged is None:
-                raise CsvParseError("no data rows found")
-            return merged
-        finally:
-            if ring is not None:
-                ring.destroy()
+        merged: StreamingContingency | None = None
+        clock = self._metric_clock
+        for chunk in self._ingest(source, spec, chunked=False):
+            started = clock()
+            with self.tracer.span("merge", chunk=chunk.index):
+                counts = chunk.counts
+                merged = counts if merged is None else merged.merge(counts)
+            self._metric_stage_seconds["merge"].observe(clock() - started)
+        if merged is None:
+            raise CsvParseError("no data rows found")
+        return merged
 
     def iter_chunk_counts(
         self, source: CsvSource, spec: ContingencySpec
     ) -> Iterator[ChunkCounts]:
-        plan = source.plan()
-        cached = self._prepare_cache(source, plan)
-        ring = self._new_ring(spec) if self.pipelined else None
-        try:
-            if cached is not None:
-                cache_path, cache_token, n_rows = cached
-                ranges = self._chunk_ranges(n_rows, source.chunk_rows)
-                if not ranges:
-                    raise CsvParseError("no data rows found")
-                tasks = self._cache_tasks(
-                    source, spec, cache_path, cache_token, ranges, ring
-                )
-            else:
-                spans = plan_csv_chunks(source.path, plan, source.chunk_rows)
-                if not spans:
-                    raise CsvParseError("no data rows found")
-                if self.pipelined:
-                    tasks = self._csv_chunk_tasks(
-                        source, plan, spec, spans, ring
-                    )
-                else:
-                    tasks = self._shard_tasks(
-                        source.path, plan, spec, spans, source.chunk_rows
-                    )
-            results = iter(
-                self._drive(tasks)
-                if self.pipelined
-                else self._blocking_results(list(tasks))
-            )
-            # The "ingest" span stays on this thread's span stack while
-            # the generator is suspended, so a consumer folding chunks
-            # between yields (the streaming auditor's "merge" spans)
-            # nests under it in the trace.
-            with self.tracer.span(
-                "ingest", backend=self.name, path=source.path
-            ):
-                while True:
-                    with self.tracer.span("parse"):
-                        batch = next(results, None)
-                    if batch is None:
-                        break
-                    for index, n_rows, transport in batch:
-                        with self.tracer.span(
-                            "decode", chunk=index, rows=n_rows
-                        ):
-                            counts = self._materialise(ring, transport)
-                        yield ChunkCounts(index, n_rows, counts)
-        finally:
-            if ring is not None:
-                ring.destroy()
-
-    def _shard_tasks(
-        self,
-        path: str,
-        plan: CsvPlan,
-        spec: ContingencySpec,
-        spans: list[CsvSpan],
-        batch_rows: int,
-    ) -> list[_SpanTask]:
-        """Contiguous, byte-balanced groups of chunk spans, one per worker."""
-        total = sum(span.end - span.start for span in spans)
-        n_shards = min(self.workers, len(spans))
-        tasks: list[_SpanTask] = []
-        cursor = 0
-        consumed = 0
-        for shard in range(n_shards):
-            remaining_target = (total * (shard + 1)) // n_shards
-            group: list[CsvSpan] = []
-            first = cursor
-            while cursor < len(spans) and (
-                consumed < remaining_target or not group
-            ):
-                group.append(spans[cursor])
-                consumed += spans[cursor].end - spans[cursor].start
-                cursor += 1
-            if group:
-                tasks.append(
-                    _SpanTask(
-                        path,
-                        plan,
-                        spec,
-                        first,
-                        batch_rows,
-                        spans=tuple(group),
-                    )
-                )
-        # The last shard's target is the exact total, so the loop above
-        # always drains every span.
-        assert cursor == len(spans)
-        return tasks
+        return self._ingest(source, spec, chunked=True)

@@ -45,18 +45,6 @@ class CacheError(ReproError):
         self.reason = str(reason)
 
 
-class IpcError(ReproError):
-    """Shared-memory transport between audit processes failed.
-
-    Raised when a ring-buffer slot fails its CRC or sequence-stamp
-    validation (a torn write from a worker that died mid-chunk, or a
-    stale slot that was never overwritten) and when a descriptor does
-    not match the ring it claims to describe. The coordinator treats
-    every ``IpcError`` as fatal for the in-flight ingest: counts from a
-    questionable slot must never be merged.
-    """
-
-
 class CheckpointError(ValidationError):
     """A durable checkpoint is corrupt, truncated, or does not match.
 

@@ -15,6 +15,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.obs.metrics import default_registry
 from repro.tabular.table import Table
 
 try:  # property-test modules skip-collect without hypothesis; so do profiles
@@ -35,6 +36,25 @@ def pytest_addoption(parser):
         help="regenerate the golden CLI fixtures under tests/golden/ "
         "instead of comparing against them",
     )
+
+
+def _pools_leaked() -> float:
+    family = default_registry().state_dict()["families"].get(
+        "repro_pool_leaked_total"
+    )
+    return 0 if family is None else sum(s["value"] for s in family["series"])
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_worker_pools():
+    """Fail a test that lets a ``ProcessPoolBackend`` be reclaimed with a
+    live worker pool (``repro_pool_leaked_total`` on the default
+    registry grew). Close the backend or use it in a ``with`` block."""
+    before = _pools_leaked()
+    yield
+    leaked = _pools_leaked() - before
+    if leaked > 0:
+        pytest.fail(f"{leaked:g} ProcessPoolBackend worker pool(s) leaked")
 
 
 @pytest.fixture

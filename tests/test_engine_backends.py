@@ -3,16 +3,26 @@
 The execution layer's contract is *bit-identity*: counting is a
 commutative monoid, so serial, multi-process, and merged-shard ingests
 must produce the same integers, the same epsilons, and the same report
-bytes. Everything here asserts exact equality, never approximate.
+bytes. Everything here asserts exact equality, never approximate. The
+pool's lifecycle and crash contract live here too: a worker SIGKILLed
+mid-chunk surfaces as ``BrokenProcessPool`` and the next call gets a
+fresh pool.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import repro.engine.backends as backends_module
 from repro.audit.auditor import FairnessAuditor
 from repro.audit.stream import ChunkProgress, StreamingAuditor
 from repro.cli import main
@@ -24,7 +34,7 @@ from repro.engine.backends import (
     SerialBackend,
     tree_merge,
 )
-from repro.exceptions import CsvParseError, ValidationError
+from repro.exceptions import CsvParseError, ReproError, ValidationError
 from repro.tabular.csv_io import (
     CsvPlan,
     iter_csv_chunks,
@@ -62,9 +72,12 @@ def stream_csv(tmp_path):
     return write_stream_csv(tmp_path / "stream.csv")
 
 
-def source_for(path, chunk_rows=128):
+def source_for(path, chunk_rows=128, column_cache=None):
     return CsvSource(
-        str(path), chunk_rows=chunk_rows, columns=(*PROTECTED, OUTCOME)
+        str(path),
+        chunk_rows=chunk_rows,
+        columns=(*PROTECTED, OUTCOME),
+        column_cache=column_cache,
     )
 
 
@@ -196,7 +209,8 @@ class TestBackendBitIdentity:
         source = source_for(stream_csv)
         serial = SerialBackend().build(source, SPEC)
         for workers in [2, 3]:
-            pooled = ProcessPoolBackend(workers).build(source, SPEC)
+            with ProcessPoolBackend(workers) as backend:
+                pooled = backend.build(source, SPEC)
             assert pooled.n_rows == serial.n_rows
             assert np.array_equal(
                 pooled.snapshot().counts, serial.snapshot().counts
@@ -210,7 +224,8 @@ class TestBackendBitIdentity:
     def test_pool_chunk_counts_reproduce_serial_chunks(self, stream_csv):
         source = source_for(stream_csv, chunk_rows=100)
         serial = list(SerialBackend().iter_chunk_counts(source, SPEC))
-        pooled = list(ProcessPoolBackend(2).iter_chunk_counts(source, SPEC))
+        with ProcessPoolBackend(2) as backend:
+            pooled = list(backend.iter_chunk_counts(source, SPEC))
         assert [c.index for c in pooled] == [c.index for c in serial]
         assert [c.n_rows for c in pooled] == [c.n_rows for c in serial]
         for mine, theirs in zip(pooled, serial):
@@ -222,9 +237,8 @@ class TestBackendBitIdentity:
     def test_audit_csv_identical_across_backends(self, stream_csv):
         auditor = FairnessAuditor(PROTECTED, OUTCOME, posterior_samples=20, seed=7)
         serial = auditor.audit_csv(source_for(stream_csv))
-        pooled = auditor.audit_csv(
-            source_for(stream_csv), backend=ProcessPoolBackend(2)
-        )
+        with ProcessPoolBackend(2) as backend:
+            pooled = auditor.audit_csv(source_for(stream_csv), backend=backend)
         assert pooled.to_text() == serial.to_text()
         assert pooled.posterior.mean == serial.posterior.mean
 
@@ -241,6 +255,244 @@ class TestBackendBitIdentity:
         assert any(span.n_rows == 2 for span in spans)
         with pytest.raises(CsvParseError, match="serial backend"):
             list(ProcessPoolBackend(1).iter_chunk_counts(source, spec))
+
+
+    @pytest.mark.parallel
+    def test_pool_matches_serial_over_column_cache(self, stream_csv, tmp_path):
+        # The first pooled call builds the .rccol cache; the rest read it.
+        cache = str(tmp_path / "stream.rccol")
+        cached = source_for(stream_csv, column_cache=cache)
+        serial = SerialBackend().build(source_for(stream_csv), SPEC)
+        serial_chunks = list(
+            SerialBackend().iter_chunk_counts(source_for(stream_csv), SPEC)
+        )
+        with ProcessPoolBackend(2) as backend:
+            warmed = backend.build(cached, SPEC)
+            again = backend.build(cached, SPEC)
+            chunks = list(backend.iter_chunk_counts(cached, SPEC))
+        assert os.path.exists(cache)
+        for pooled in (warmed, again):
+            assert pooled.n_rows == serial.n_rows
+            assert np.array_equal(
+                pooled.snapshot().counts, serial.snapshot().counts
+            )
+        assert [(c.index, c.n_rows) for c in chunks] == [
+            (c.index, c.n_rows) for c in serial_chunks
+        ]
+        for mine, theirs in zip(chunks, serial_chunks):
+            assert np.array_equal(
+                mine.counts.snapshot().counts, theirs.counts.snapshot().counts
+            )
+
+
+@pytest.mark.parallel
+class TestPoolLifecycle:
+    def test_pool_is_reused_across_calls(self, stream_csv):
+        backend = ProcessPoolBackend(2)
+        try:
+            backend.build(source_for(stream_csv), SPEC)
+            first = backend._pool
+            assert first is not None
+            backend.build(source_for(stream_csv), SPEC)
+            assert backend._pool is first
+        finally:
+            backend.close()
+
+    def test_closed_backend_refuses_work(self, stream_csv):
+        backend = ProcessPoolBackend(2)
+        backend.close()
+        with pytest.raises(ValidationError, match="closed"):
+            backend.build(source_for(stream_csv), SPEC)
+
+    def test_context_manager_closes(self, stream_csv):
+        with ProcessPoolBackend(2) as backend:
+            backend.build(source_for(stream_csv), SPEC)
+        assert backend._pool is None
+        with pytest.raises(ValidationError, match="closed"):
+            backend.build(source_for(stream_csv), SPEC)
+
+    def test_validation(self):
+        with pytest.raises(ValidationError, match="workers"):
+            ProcessPoolBackend(0)
+
+    def test_abandoned_iteration_leaves_backend_usable(self, stream_csv):
+        source = source_for(stream_csv)
+        serial = list(SerialBackend().iter_chunk_counts(source, SPEC))
+        with ProcessPoolBackend(2) as backend:
+            iterator = backend.iter_chunk_counts(source, SPEC)
+            next(iterator)
+            iterator.close()  # consumer walks away mid-stream
+            again = list(backend.iter_chunk_counts(source, SPEC))
+        assert [(c.index, c.n_rows) for c in again] == [
+            (c.index, c.n_rows) for c in serial
+        ]
+        for mine, theirs in zip(again, serial):
+            assert np.array_equal(
+                mine.counts.snapshot().counts, theirs.counts.snapshot().counts
+            )
+
+
+# ----------------------------------------------------------------------
+# Worker-kill crash contract
+# ----------------------------------------------------------------------
+_real_count_task = backends_module._count_task
+
+
+def _sigkill_count_task(task):
+    """Replacement worker fn: die hard on task 3, else count.
+
+    Module-level so the executor can pickle it by reference; the forked
+    workers inherit the patched module, so the coordinator's submission
+    of ``_count_task`` resolves to this function inside the pool too.
+    """
+    if task.index == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _real_count_task(task)
+
+
+@pytest.mark.parallel
+class TestWorkerCrash:
+    def test_killed_worker_raises_and_next_call_recovers(
+        self, stream_csv, monkeypatch
+    ):
+        monkeypatch.setattr(
+            backends_module, "_count_task", _sigkill_count_task
+        )
+        backend = ProcessPoolBackend(2)
+        try:
+            # Surfaced as-is: the ingest is dead and says so, it does
+            # not return partial counts.
+            with pytest.raises(BrokenProcessPool):
+                list(backend.iter_chunk_counts(source_for(stream_csv), SPEC))
+            # The broken pool was discarded...
+            assert backend._pool is None
+            # ...and the backend recovers on the next call with a fresh
+            # pool once the poison task is gone.
+            monkeypatch.setattr(
+                backends_module, "_count_task", _real_count_task
+            )
+            serial = SerialBackend().build(source_for(stream_csv), SPEC)
+            recovered = backend.build(source_for(stream_csv), SPEC)
+            assert np.array_equal(
+                recovered.snapshot().counts, serial.snapshot().counts
+            )
+        finally:
+            backend.close()
+
+    def test_killed_worker_during_build_raises(self, stream_csv, monkeypatch):
+        monkeypatch.setattr(
+            backends_module, "_count_task", _sigkill_count_task
+        )
+        with ProcessPoolBackend(2) as backend:
+            with pytest.raises(BrokenProcessPool):
+                backend.build(source_for(stream_csv), SPEC)
+            assert backend._pool is None
+
+
+# ----------------------------------------------------------------------
+# Differential property: pool vs serial on messy small files
+# ----------------------------------------------------------------------
+MESSY_SPEC = ContingencySpec(("g", "r"), "y")
+_MESSY_ROW = st.tuples(
+    st.sampled_from(["f", "m", "?"]),
+    st.sampled_from(["x", "y", "z", "?"]),
+    st.sampled_from(["0", "1", "?"]),
+).map(",".join)
+_CASE_NUMBERS = itertools.count()
+
+
+@st.composite
+def messy_csv(draw):
+    """CSV text with 0-40 data rows, plus its comment prefix (or None).
+
+    Blank, whitespace-only and (when the prefix is set) comment lines
+    land anywhere, before the header too; ``?`` is the missing token;
+    line endings are LF or CRLF; the final newline may be missing.
+    """
+    prefix = draw(st.sampled_from([None, "#"]))
+    filler = st.lists(
+        st.sampled_from(["", "  "] + (["# note", "#,x,1"] if prefix else [])),
+        max_size=2,
+    )
+    lines = [*draw(filler), "g,r,y"]
+    for row in draw(st.lists(_MESSY_ROW, max_size=40)):
+        lines += [*draw(filler), row]
+    lines += draw(filler)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines)
+    if draw(st.booleans()):
+        text += newline
+    return text, prefix
+
+
+def _counts_key(accumulator):
+    snapshot = accumulator.snapshot()
+    return (
+        accumulator.n_rows,
+        snapshot.factor_levels,
+        snapshot.outcome_levels,
+        snapshot.counts.tolist(),
+    )
+
+
+def _backend_outcomes(backend, source):
+    """``build`` and ``iter_chunk_counts`` results, or each one's error."""
+    calls = (
+        lambda: _counts_key(backend.build(source, MESSY_SPEC)),
+        lambda: [
+            (chunk.index, chunk.n_rows, _counts_key(chunk.counts))
+            for chunk in backend.iter_chunk_counts(source, MESSY_SPEC)
+        ],
+    )
+    outcomes = []
+    for call in calls:
+        try:
+            outcomes.append(call())
+        except ReproError as error:
+            outcomes.append(type(error))
+    return outcomes
+
+
+@pytest.fixture(scope="module")
+def shared_pools():
+    with ProcessPoolBackend(2) as two, ProcessPoolBackend(1) as one:
+        yield two, one
+
+
+@pytest.fixture(scope="module")
+def messy_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("messy")
+
+
+@pytest.mark.parallel
+@given(
+    case=messy_csv(),
+    chunk_rows=st.integers(1, 7),
+    missing_replacement=st.sampled_from([None, "unknown"]),
+)
+def test_pool_matches_serial_on_messy_csv(
+    shared_pools, messy_dir, case, chunk_rows, missing_replacement
+):
+    # Files with fewer rows than build's even split has parts, and with
+    # no data rows at all, are in the domain. Every case gets fresh file
+    # names: a rewritten file can keep its size and mtime, and the cache
+    # fingerprint would then call a stale .rccol fresh.
+    text, prefix = case
+    number = next(_CASE_NUMBERS)
+    path = messy_dir / f"case{number}.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for cache in (None, str(messy_dir / f"case{number}.rccol")):
+        source = CsvSource(
+            str(path),
+            chunk_rows=chunk_rows,
+            columns=("g", "r", "y"),
+            missing_replacement=missing_replacement,
+            skip_comment_prefix=prefix,
+            column_cache=cache,
+        )
+        expected = _backend_outcomes(SerialBackend(), source)
+        for backend in shared_pools:
+            assert _backend_outcomes(backend, source) == expected
 
 
 class TestStreamingAuditorIngest:
@@ -272,9 +524,10 @@ class TestStreamingAuditorIngest:
         serial = StreamingAuditor(PROTECTED, OUTCOME)
         pooled = StreamingAuditor(PROTECTED, OUTCOME)
         serial.ingest(source, on_chunk=serial_trace.append)
-        pooled.ingest(
-            source, backend=ProcessPoolBackend(2), on_chunk=pooled_trace.append
-        )
+        with ProcessPoolBackend(2) as backend:
+            pooled.ingest(
+                source, backend=backend, on_chunk=pooled_trace.append
+            )
         assert pooled_trace == serial_trace
         assert pooled.audit().to_text() == serial.audit().to_text()
 

@@ -1,44 +1,25 @@
-"""Tests for the shared-memory count transport and the pipelined pool.
+"""Tests for the pool's worker-to-coordinator transport.
 
-Covers the :mod:`repro.engine.ipc` primitives (encode/decode round
-trips, slot CRC + sequence-stamp validation, slot-size negotiation),
-the pipelined :class:`ProcessPoolBackend` built on them (bit-identity
-with the serial path, queue fallback for oversized states, pool reuse
-and ``close()`` lifecycle), and the crash contract: a worker SIGKILLed
-mid-chunk makes the coordinator raise cleanly, leaks no
-``/dev/shm/repro_ring_*`` segment, and leaves the backend usable (a
-fresh pool is spun up lazily on the next call).
+Each :class:`ProcessPoolBackend` worker returns its chunk's count state
+whole through the executor's result queue, and the coordinator keeps a
+bounded window of tasks in flight ahead of the consumer. These tests
+pin that pipelined path to the serial one: the same counts for
+``build`` and the same chunks, in order, for ``iter_chunk_counts``.
+The pool's lifecycle and crash contract are tested with the other
+backend tests.
 """
 
 from __future__ import annotations
 
-import glob
-import os
-import signal
-
 import numpy as np
 import pytest
 
-import repro.engine.backends as backends_module
-from repro.core.streaming import StreamingContingency
 from repro.engine.backends import (
     ContingencySpec,
     CsvSource,
     ProcessPoolBackend,
     SerialBackend,
-    _SpanTask,
-    _count_task,
 )
-from repro.engine.ipc import (
-    RING_SLOT_HEADER,
-    SharedCountRing,
-    SlotDescriptor,
-    decode_counts_state,
-    encode_counts_state,
-    ring_slot_size,
-)
-from repro.exceptions import IpcError, ValidationError
-from repro.tabular.csv_io import CsvPlan, plan_csv_chunks
 
 PROTECTED = ("gender", "race")
 OUTCOME = "hired"
@@ -61,146 +42,12 @@ def stream_csv(tmp_path):
     return write_stream_csv(tmp_path / "stream.csv")
 
 
-def source_for(path, chunk_rows=128, column_cache=None):
+def source_for(path, chunk_rows=128):
     return CsvSource(
-        str(path),
-        chunk_rows=chunk_rows,
-        columns=(*PROTECTED, OUTCOME),
-        column_cache=column_cache,
+        str(path), chunk_rows=chunk_rows, columns=(*PROTECTED, OUTCOME)
     )
 
 
-def filled_accumulator():
-    acc = SPEC.new_accumulator()
-    rng = np.random.default_rng(11)
-    from repro.tabular.column import Column
-    from repro.tabular.table import Table
-
-    rows = rng.integers(0, 2, size=200)
-    table = Table(
-        [
-            Column.categorical("gender", [f"g{v}" for v in rows]),
-            Column.categorical(
-                "race", [f"r{v}" for v in rng.integers(0, 3, size=200)]
-            ),
-            Column.categorical(
-                "hired", [f"y{v}" for v in rng.integers(0, 2, size=200)]
-            ),
-        ]
-    )
-    return acc.update_table(table)
-
-
-class TestEncodeDecode:
-    def test_round_trip_preserves_everything(self):
-        acc = filled_accumulator()
-        state = acc.state_dict()
-        decoded = decode_counts_state(encode_counts_state(state))
-        rebuilt = StreamingContingency.from_state(decoded)
-        assert rebuilt.n_rows == acc.n_rows
-        assert np.array_equal(
-            rebuilt.snapshot().counts, acc.snapshot().counts
-        )
-        assert rebuilt.snapshot().factor_levels == acc.snapshot().factor_levels
-
-    def test_decode_is_zero_copy_from_the_buffer(self):
-        state = filled_accumulator().state_dict()
-        payload = bytearray(encode_counts_state(state))
-        decoded = decode_counts_state(payload)
-        # The tensor is a view over the buffer, not a copy.
-        assert decoded["counts"].base is not None
-        expected = np.ascontiguousarray(state["counts"], dtype="<i8")
-        assert np.array_equal(decoded["counts"], expected)
-
-    def test_truncated_buffers_raise(self):
-        payload = encode_counts_state(filled_accumulator().state_dict())
-        for cut in (0, 2, len(payload) // 2, len(payload) - 1):
-            with pytest.raises(IpcError, match="truncated"):
-                decode_counts_state(payload[:cut])
-
-    def test_garbage_header_raises(self):
-        with pytest.raises(IpcError, match="JSON"):
-            decode_counts_state(b"\x08\x00\x00\x00notjson!" + b"\x00" * 64)
-
-
-class TestSlotSizing:
-    def test_pinned_spec_gets_exact_slot(self):
-        pinned = ContingencySpec(
-            PROTECTED,
-            OUTCOME,
-            factor_levels=(("g0", "g1"), ("r0", "r1", "r2", "r3")),
-            outcome_levels=("y0", "y1"),
-        )
-        size = ring_slot_size(pinned)
-        measured = len(
-            encode_counts_state(pinned.new_accumulator().state_dict())
-        )
-        assert size == RING_SLOT_HEADER.size + measured + 64
-
-    def test_dynamic_spec_gets_default_budget(self):
-        assert ring_slot_size(SPEC) >= RING_SLOT_HEADER.size + 256 * 1024
-
-
-@pytest.mark.ipc
-class TestSharedCountRing:
-    def test_write_read_round_trip(self):
-        payload = encode_counts_state(filled_accumulator().state_dict())
-        with SharedCountRing(4, len(payload) + RING_SLOT_HEADER.size) as ring:
-            descriptor = ring.write_slot(2, 7, payload)
-            assert descriptor.ring == ring.name
-            view = ring.read_slot(descriptor)
-            assert bytes(view) == payload
-            view.release()
-
-    def test_attach_sees_the_creators_bytes(self):
-        payload = b"x" * 100
-        with SharedCountRing(2, 256) as ring:
-            descriptor = ring.write_slot(0, 0, payload)
-            peer = SharedCountRing.attach(ring.name, 2, 256)
-            try:
-                view = peer.read_slot(descriptor)
-                assert bytes(view) == payload
-                view.release()
-            finally:
-                peer.close()
-
-    def test_torn_slot_fails_crc(self):
-        with SharedCountRing(2, 256) as ring:
-            descriptor = ring.write_slot(0, 0, b"a" * 64)
-            # Simulate a worker dying mid-write: flip a payload byte
-            # after the header was stamped.
-            ring._shm.buf[RING_SLOT_HEADER.size + 10] ^= 0xFF
-            with pytest.raises(IpcError, match="CRC"):
-                ring.read_slot(descriptor)
-
-    def test_stale_slot_fails_seq_stamp(self):
-        with SharedCountRing(2, 256) as ring:
-            ring.write_slot(1, 9, b"new occupant")
-            stale = SlotDescriptor(ring.name, 1, 3, 12, 0)
-            with pytest.raises(IpcError, match="seq"):
-                ring.read_slot(stale)
-
-    def test_descriptor_for_another_ring_rejected(self):
-        with SharedCountRing(2, 256) as ring:
-            foreign = SlotDescriptor("repro_ring_beef", 0, 0, 4, 0)
-            with pytest.raises(IpcError, match="ring"):
-                ring.read_slot(foreign)
-
-    def test_oversized_payload_rejected(self):
-        with SharedCountRing(1, 128) as ring:
-            with pytest.raises(IpcError, match="exceeds"):
-                ring.write_slot(0, 0, b"z" * 256)
-
-    def test_destroy_unlinks_and_is_idempotent(self):
-        ring = SharedCountRing(2, 256)
-        name = ring.name
-        assert os.path.exists(f"/dev/shm/{name}")
-        ring.destroy()
-        assert not os.path.exists(f"/dev/shm/{name}")
-        ring.destroy()  # safe to call again
-
-
-@pytest.mark.ipc
 @pytest.mark.parallel
 class TestPipelinedBackend:
     def test_pipelined_build_is_bit_identical_to_serial(self, stream_csv):
@@ -226,163 +73,3 @@ class TestPipelinedBackend:
                 left.counts.snapshot().counts,
                 right.counts.snapshot().counts,
             )
-
-    def test_queue_fallback_for_oversized_states(self, stream_csv):
-        # A ring whose slots cannot hold any real state: every chunk
-        # must fall back to queue transport and still be correct.
-        plan = CsvPlan.from_csv(stream_csv, columns=[*PROTECTED, OUTCOME])
-        spans = plan_csv_chunks(stream_csv, plan, 128)
-        with SharedCountRing(2, RING_SLOT_HEADER.size + 8) as ring:
-            task = _SpanTask(
-                str(stream_csv),
-                plan,
-                SPEC,
-                0,
-                128,
-                spans=(spans[0],),
-                ring=(ring.name, ring.n_slots, ring.slot_size),
-                slots=((0, 0),),
-            )
-            [(index, n_rows, transport)] = _count_task(task)
-        assert index == 0 and n_rows == 128
-        assert isinstance(transport, dict)  # not a SlotDescriptor
-        rebuilt = StreamingContingency.from_state(transport)
-        serial = SPEC.new_accumulator()
-        for table in SerialBackend().iter_chunk_tables(source_for(stream_csv)):
-            serial.update_table(table)
-            break
-        assert np.array_equal(
-            rebuilt.snapshot().counts, serial.snapshot().counts
-        )
-
-    def test_cached_pipelined_matches_serial(self, stream_csv, tmp_path):
-        cache = str(tmp_path / "stream.rccol")
-        serial = SerialBackend().build(source_for(stream_csv), SPEC)
-        with ProcessPoolBackend(2) as backend:
-            warmed = backend.build(
-                source_for(stream_csv, column_cache=cache), SPEC
-            )
-            again = backend.build(
-                source_for(stream_csv, column_cache=cache), SPEC
-            )
-        assert os.path.exists(cache)
-        assert np.array_equal(
-            warmed.snapshot().counts, serial.snapshot().counts
-        )
-        assert np.array_equal(
-            again.snapshot().counts, serial.snapshot().counts
-        )
-
-    def test_no_ring_leaked_after_ingest(self, stream_csv):
-        before = set(glob.glob("/dev/shm/repro_ring_*"))
-        with ProcessPoolBackend(2) as backend:
-            backend.build(source_for(stream_csv), SPEC)
-            list(backend.iter_chunk_counts(source_for(stream_csv), SPEC))
-        assert set(glob.glob("/dev/shm/repro_ring_*")) == before
-
-    def test_abandoned_iteration_still_unlinks_the_ring(self, stream_csv):
-        before = set(glob.glob("/dev/shm/repro_ring_*"))
-        with ProcessPoolBackend(2) as backend:
-            iterator = backend.iter_chunk_counts(source_for(stream_csv), SPEC)
-            next(iterator)
-            iterator.close()  # consumer walks away mid-stream
-        assert set(glob.glob("/dev/shm/repro_ring_*")) == before
-
-
-class TestPoolLifecycle:
-    def test_pool_is_reused_across_calls(self, stream_csv):
-        backend = ProcessPoolBackend(2)
-        try:
-            backend.build(source_for(stream_csv), SPEC)
-            first = backend._pool
-            assert first is not None
-            backend.build(source_for(stream_csv), SPEC)
-            assert backend._pool is first
-        finally:
-            backend.close()
-
-    def test_closed_backend_refuses_work(self, stream_csv):
-        backend = ProcessPoolBackend(2)
-        backend.close()
-        with pytest.raises(ValidationError, match="closed"):
-            backend.build(source_for(stream_csv), SPEC)
-
-    def test_context_manager_closes(self, stream_csv):
-        with ProcessPoolBackend(2) as backend:
-            backend.build(source_for(stream_csv), SPEC)
-        assert backend._pool is None
-        with pytest.raises(ValidationError, match="closed"):
-            backend.build(source_for(stream_csv), SPEC)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError, match="workers"):
-            ProcessPoolBackend(0)
-        with pytest.raises(ValidationError, match="inflight"):
-            ProcessPoolBackend(2, inflight_per_worker=0)
-
-
-# ----------------------------------------------------------------------
-# Worker-kill crash contract
-# ----------------------------------------------------------------------
-_real_count_task = backends_module._count_task
-
-
-def _sigkill_count_task(task):
-    """Replacement worker fn: die hard on a marked task, else count.
-
-    Module-level so the executor can pickle it by reference; the forked
-    workers inherit the patched module, so the coordinator's submission
-    of ``_count_task`` resolves to this function inside the pool too.
-    """
-    if task.first_index == 3:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return _real_count_task(task)
-
-
-@pytest.mark.ipc
-@pytest.mark.parallel
-class TestWorkerCrash:
-    def test_killed_worker_raises_cleanly_and_unlinks_rings(
-        self, stream_csv, monkeypatch
-    ):
-        before = set(glob.glob("/dev/shm/repro_ring_*"))
-        monkeypatch.setattr(
-            backends_module, "_count_task", _sigkill_count_task
-        )
-        backend = ProcessPoolBackend(2)
-        try:
-            with pytest.raises(Exception) as excinfo:
-                list(backend.iter_chunk_counts(source_for(stream_csv), SPEC))
-            # BrokenProcessPool, surfaced as-is: the ingest is dead and
-            # says so, it does not return partial counts.
-            assert "process" in str(excinfo.value).lower() or isinstance(
-                excinfo.value, IpcError
-            )
-            # The shm ring the workers were attached to is gone.
-            assert set(glob.glob("/dev/shm/repro_ring_*")) == before
-            # The broken pool was discarded...
-            assert backend._pool is None
-            # ...and the backend recovers on the next call with a fresh
-            # pool once the poison task is gone.
-            monkeypatch.setattr(
-                backends_module, "_count_task", _real_count_task
-            )
-            serial = SerialBackend().build(source_for(stream_csv), SPEC)
-            recovered = backend.build(source_for(stream_csv), SPEC)
-            assert np.array_equal(
-                recovered.snapshot().counts, serial.snapshot().counts
-            )
-        finally:
-            backend.close()
-
-    def test_killed_worker_during_build_unlinks_rings(
-        self, stream_csv, monkeypatch
-    ):
-        before = set(glob.glob("/dev/shm/repro_ring_*"))
-        monkeypatch.setattr(
-            backends_module, "_count_task", _sigkill_count_task
-        )
-        with ProcessPoolBackend(2) as backend:
-            with pytest.raises(Exception):
-                backend.build(source_for(stream_csv), SPEC)
-        assert set(glob.glob("/dev/shm/repro_ring_*")) == before
