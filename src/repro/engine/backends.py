@@ -61,7 +61,7 @@ from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, TypeVar
 
 from repro.core.streaming import StreamingContingency
 from repro.exceptions import CsvParseError, ValidationError
@@ -170,15 +170,17 @@ class ChunkCounts:
     counts: StreamingContingency
 
 
-def tree_merge(
-    accumulators: Sequence[StreamingContingency],
-) -> StreamingContingency:
+_Mergeable = TypeVar("_Mergeable", StreamingContingency, MetricsRegistry)
+
+
+def tree_merge(accumulators: Sequence[_Mergeable]) -> _Mergeable:
     """Balanced pairwise merge, preserving order.
 
     Order preservation keeps dynamic level discovery deterministic
     (first-seen across the sequence), and the PR-3 merge algebra makes
     the tree shape irrelevant to the result; the balanced shape just
-    keeps intermediate tensors small.
+    keeps intermediate tensors small. The fleet router folds shard
+    :class:`MetricsRegistry` snapshots the same way.
     """
     items = list(accumulators)
     if not items:

@@ -18,6 +18,8 @@ reproduction. It layers on the streaming/engine stack (PRs 3-4):
 * :mod:`repro.monitor.service` — the stdlib-only concurrent HTTP
   ingestion API (``repro monitor-serve``) and the offline
   ``repro monitor-status`` report;
+* :mod:`repro.monitor.http` — the one HTTP layer under the service, the
+  router, the client and the health probe;
 * :mod:`repro.monitor.wal` — the per-monitor write-ahead log that
   makes every acked ``observe`` batch crash-durable (fsync-before-ack,
   group commit, replay-on-restart past the newest checkpoint);

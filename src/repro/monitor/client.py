@@ -4,10 +4,12 @@ The CLI, examples, and tests all used to hand-roll ``urllib`` calls
 against the service; none of them handled the backpressure statuses the
 service now emits (``429`` queue-full, ``503`` WAL-degraded), so a
 loaded fleet turned into client-side stack traces. :class:`MonitorClient`
-centralises that: stdlib-only ``urllib`` transport, JSON in/out, and
-automatic retries on exactly the statuses that *mean* retry — honouring
-the server's ``Retry-After`` when it sends one, decorrelated-jitter
-backoff (:mod:`repro.monitor.backoff`) when it does not.
+centralises that: JSON in/out over the one request function of
+:mod:`repro.monitor.http` (stdlib ``urllib``, shared with the fleet
+router and the health probe), and automatic retries on exactly the
+statuses that *mean* retry — honouring the server's ``Retry-After`` when
+it sends one, decorrelated-jitter backoff (:mod:`repro.monitor.backoff`)
+when it does not.
 
 Anything else non-2xx raises :class:`repro.exceptions.MonitorClientError`
 carrying the HTTP status and the decoded ``{"error": ...}`` body, so
@@ -16,10 +18,10 @@ callers branch on ``error.status`` instead of parsing messages.
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
 import time
-import urllib.error
 import urllib.request
 from collections.abc import Callable
 from typing import Any
@@ -27,6 +29,7 @@ from urllib.parse import urlencode
 
 from repro.exceptions import MonitorClientError, ValidationError
 from repro.monitor.backoff import retry_call
+from repro.monitor.http import TransportError, send_request
 
 __all__ = ["MonitorClient", "RETRYABLE_STATUSES", "TRANSIENT_ERRORS"]
 
@@ -40,8 +43,14 @@ RETRYABLE_STATUSES = frozenset({429, 503})
 # decorrelated-jitter backoff as 429/503: by the time the backoff
 # elapses, the supervisor has typically restarted the shard and WAL
 # replay has restored every acked batch. A reset *can* race an ack, so
-# exactly-once across resets needs an idempotency ``batch_id``.
-TRANSIENT_ERRORS = (ConnectionRefusedError, ConnectionResetError)
+# exactly-once across resets needs an idempotency ``batch_id``. A reply
+# cut off mid-body (IncompleteRead) counts as a reset: the peer died
+# while answering.
+TRANSIENT_ERRORS = (
+    ConnectionRefusedError,
+    ConnectionResetError,
+    http.client.IncompleteRead,
+)
 
 
 class MonitorClient:
@@ -122,54 +131,44 @@ class MonitorClient:
         )
 
     def _once(self, method: str, url: str, payload: bytes | None):
-        request = urllib.request.Request(
-            url,
-            data=payload,
-            method=method,
-            headers=(
-                {"Content-Type": "application/json"} if payload else {}
-            ),
-        )
         try:
-            with self._opener(request, timeout=self._timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            raw = error.read()
-            try:
-                decoded = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                decoded = {"error": raw.decode("utf-8", "replace")}
-            message = (
-                decoded.get("error", error.reason)
-                if isinstance(decoded, dict)
-                else error.reason
+            reply = send_request(
+                method,
+                url,
+                body=payload,
+                timeout=self._timeout,
+                opener=self._opener,
             )
-            client_error = MonitorClientError(
-                f"{method} {url} failed with HTTP {error.code}: {message}",
-                status=error.code,
-                body=decoded,
-            )
-            retry_after = error.headers.get("Retry-After")
-            if retry_after is not None:
-                try:
-                    client_error.retry_after = float(retry_after)
-                except ValueError:
-                    pass
-            raise client_error from None
-        except urllib.error.URLError as error:
-            reason = error.reason
+        except TransportError as error:
             raise MonitorClientError(
-                f"{method} {url} failed: {reason}",
+                f"{method} {url} failed: {error}",
                 status=0,
-                transient=isinstance(reason, TRANSIENT_ERRORS),
+                transient=isinstance(error.reason, TRANSIENT_ERRORS),
             ) from None
-        except TRANSIENT_ERRORS as error:
-            # http.client can surface a reset/refused socket directly
-            # (e.g. the peer died while we were reading the response)
-            # without urllib wrapping it in URLError.
-            raise MonitorClientError(
-                f"{method} {url} failed: {error}", status=0, transient=True
-            ) from None
+        if 200 <= reply.status < 300:
+            return json.loads(reply.body.decode("utf-8"))
+        try:
+            decoded = json.loads(reply.body.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            decoded = {"error": reply.body.decode("utf-8", "replace")}
+        reason = http.client.responses.get(reply.status, "")
+        message = (
+            decoded.get("error", reason)
+            if isinstance(decoded, dict)
+            else reason
+        )
+        client_error = MonitorClientError(
+            f"{method} {url} failed with HTTP {reply.status}: {message}",
+            status=reply.status,
+            body=decoded,
+        )
+        retry_after = reply.headers.get("Retry-After")
+        if retry_after is not None:
+            try:
+                client_error.retry_after = float(retry_after)
+            except ValueError:
+                pass
+        raise client_error
 
     @staticmethod
     def _should_retry(error: BaseException) -> float | bool:

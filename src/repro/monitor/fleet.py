@@ -64,12 +64,12 @@ import sys
 import threading
 import time
 import traceback
-import urllib.request
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.engine.checkpoint import _write_atomic
 from repro.exceptions import (
     FleetError,
     MonitorError,
@@ -77,6 +77,7 @@ from repro.exceptions import (
     ShardUnavailable,
     ValidationError,
 )
+from repro.monitor.http import send_request
 from repro.monitor.registry import CHECKPOINT_DIR
 from repro.monitor.service import _monitor_lines, status_snapshot
 
@@ -202,13 +203,10 @@ def init_fleet_dir(directory: str | Path, n_shards: int | None = None) -> int:
     directory.mkdir(parents=True, exist_ok=True)
     config_path = directory / FLEET_CONFIG_FILE
     if not config_path.exists():
-        config_path.write_text(
-            json.dumps(
-                {"version": FLEET_LAYOUT_VERSION, "shards": int(n_shards)}
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+        # tmp + fsync + rename: a crash mid-write must not leave a torn
+        # layout that fleet-serve then refuses.
+        layout = {"version": FLEET_LAYOUT_VERSION, "shards": int(n_shards)}
+        _write_atomic(config_path, f"{json.dumps(layout)}\n".encode("utf-8"))
     return int(n_shards)
 
 
@@ -221,8 +219,10 @@ def probe_healthz(url: str, timeout: float) -> dict[str, Any]:
     Any failure — refused connection, timeout, non-200, junk body — is
     raised to the caller; the supervisor counts it as a probe failure.
     """
-    with urllib.request.urlopen(f"{url}/healthz", timeout=timeout) as response:
-        payload = json.loads(response.read().decode("utf-8"))
+    reply = send_request("GET", f"{url}/healthz", timeout=timeout)
+    if reply.status != 200:
+        raise FleetError(f"healthz answered HTTP {reply.status}")
+    payload = json.loads(reply.body.decode("utf-8"))
     if not isinstance(payload, dict):
         raise FleetError(f"healthz returned a non-object payload: {payload!r}")
     return payload

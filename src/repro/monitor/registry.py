@@ -44,7 +44,6 @@ process is killed.
 from __future__ import annotations
 
 import json
-import os
 import re
 import threading
 import time
@@ -61,6 +60,7 @@ from repro.audit.stream import StreamingAuditor
 from repro.core.bayesian import PosteriorEpsilon
 from repro.core.streaming import canonical_rows
 from repro.engine.checkpoint import (
+    _write_atomic,
     checkpoint_generations,
     load_latest_auditor_state,
     rotate_checkpoint,
@@ -962,8 +962,6 @@ class MonitorRegistry:
         clock: Callable[[], float] = time.time,
         wal_enabled: bool = True,
         wal_dir: str | Path | None = None,
-        wal_fsync: bool = True,
-        wal_segment_bytes: int = 16 * 1024 * 1024,
         wal_filesystem: FileSystem | None = None,
         metrics: MetricsRegistry | None = None,
     ):
@@ -980,8 +978,6 @@ class MonitorRegistry:
         # directory there is nothing to replay into after a restart.
         self._wal_enabled = bool(wal_enabled) and self._directory is not None
         self._wal_dir_override = None if wal_dir is None else Path(wal_dir)
-        self._wal_fsync = bool(wal_fsync)
-        self._wal_segment_bytes = int(wal_segment_bytes)
         self._wal_filesystem = wal_filesystem
         if self._directory is not None:
             self._directory.mkdir(parents=True, exist_ok=True)
@@ -1001,8 +997,6 @@ class MonitorRegistry:
         clock: Callable[[], float] = time.time,
         wal_enabled: bool = True,
         wal_dir: str | Path | None = None,
-        wal_fsync: bool = True,
-        wal_segment_bytes: int = 16 * 1024 * 1024,
         wal_filesystem: FileSystem | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> "MonitorRegistry":
@@ -1021,8 +1015,6 @@ class MonitorRegistry:
             clock=clock,
             wal_enabled=wal_enabled,
             wal_dir=wal_dir,
-            wal_fsync=wal_fsync,
-            wal_segment_bytes=wal_segment_bytes,
             wal_filesystem=wal_filesystem,
             metrics=metrics,
         )
@@ -1068,8 +1060,6 @@ class MonitorRegistry:
             return None
         return WriteAheadLog(
             self._wal_dir() / name,
-            segment_bytes=self._wal_segment_bytes,
-            fsync=self._wal_fsync,
             clock=self._clock,
             filesystem=self._wal_filesystem,
             metrics=self.metrics,
@@ -1088,12 +1078,10 @@ class MonitorRegistry:
             indent=2,
             sort_keys=True,
         )
-        temporary = config_path.parent / f"{config_path.name}.tmp.{os.getpid()}"
-        try:
-            temporary.write_text(payload, encoding="utf-8")
-            os.replace(temporary, config_path)
-        finally:
-            temporary.unlink(missing_ok=True)
+        # fsync before the rename: a rename that lands without its data
+        # would leave open() refusing a directory whose WAL still holds
+        # acked batches.
+        _write_atomic(config_path, payload.encode("utf-8"))
 
     # ------------------------------------------------------------------
     # Lifecycle

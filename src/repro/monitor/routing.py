@@ -14,7 +14,10 @@ subdirectory. Two pieces live here:
   the exact :class:`repro.monitor.service.MonitorService` API, forwards
   each monitor-scoped request to the owning shard verbatim, and
   fast-fails requests for a down shard with ``503 + Retry-After`` so a
-  crash degrades *that shard's monitors only*, never the fleet.
+  crash degrades *that shard's monitors only*, never the fleet. Its
+  request handler, server lifecycle and shard requests are the shared
+  ones of :mod:`repro.monitor.http`; this module keeps only the routes
+  and the mapping from exceptions to statuses.
 
 The router is deliberately dumb: it holds no monitor state, parses
 request bodies only as far as routing requires (the monitor ``name``),
@@ -46,25 +49,30 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import socket
 import sys
-import threading
 import traceback
-import urllib.error
-import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from collections.abc import Callable
+from typing import Any, TypeVar
 
+from repro.engine.backends import tree_merge
 from repro.exceptions import (
     MonitorError,
     ShardUnavailable,
     ValidationError,
 )
-from repro.monitor.service import MAX_BODY_BYTES
-from repro.monitor.store import sanitize_floats
+from repro.monitor.http import (
+    HttpError,
+    HttpServer,
+    JsonHandler,
+    TransportError,
+    decode_json,
+    send_request,
+)
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, MetricsRegistry
 
 __all__ = ["FleetRouter", "shard_for"]
+
+_Answer = TypeVar("_Answer")
 
 _NAME_ROUTE = re.compile(r"^/monitors/(?P<name>[^/]+)")
 
@@ -90,140 +98,13 @@ def shard_for(name: str, n_shards: int) -> int:
     return int.from_bytes(digest[:8], "big") % n_shards
 
 
-class _RouteError(Exception):
-    def __init__(
-        self,
-        status: int,
-        message: str,
-        *,
-        headers: dict[str, str] | None = None,
-        extra: dict[str, Any] | None = None,
-    ):
-        super().__init__(message)
-        self.status = status
-        self.message = message
-        self.headers = dict(headers or {})
-        self.extra = dict(extra or {})
-
-
-def _unavailable(error: ShardUnavailable) -> _RouteError:
-    return _RouteError(
-        503,
-        str(error),
-        headers={"Retry-After": f"{error.retry_after:g}"},
-        extra={
-            "shard": error.shard,
-            "retry_after": error.retry_after,
-            "degraded": True,
-        },
-    )
-
-
-class _RouterHandler(BaseHTTPRequestHandler):
+class _RouterHandler(JsonHandler):
     """Routes requests onto the owning :class:`FleetRouter`."""
 
     server_version = "repro-fleet-router/1"
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if self.server.router.verbose:  # type: ignore[attr-defined]
-            super().log_message(format, *args)
-
-    # ------------------------------------------------------------------
-    def _drain_unread_body(self) -> None:
-        # Same keep-alive discipline as the shard service: leftover body
-        # bytes would be parsed as the next request line.
-        if getattr(self, "_body_consumed", False):
-            return
-        self._body_consumed = True
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length <= 0:
-            return
-        if length > MAX_BODY_BYTES:
-            self.close_connection = True
-            return
-        self.rfile.read(length)
-
-    def _send_json(
-        self,
-        status: int,
-        payload: dict[str, Any],
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        body = json.dumps(
-            sanitize_floats(payload), allow_nan=False
-        ).encode("utf-8")
-        self._send_raw(status, body, headers)
-
-    def _send_raw(
-        self,
-        status: int,
-        body: bytes,
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        self._drain_unread_body()
-        self.send_response(status)
-        # A route may override the default JSON content type (the
-        # Prometheus text surface on /metrics does).
-        extra = dict(headers or {})
-        content_type = extra.pop("Content-Type", "application/json")
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in extra.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length <= 0:
-            raise _RouteError(400, "a JSON request body is required")
-        if length > MAX_BODY_BYTES:
-            raise _RouteError(
-                413, f"request body exceeds {MAX_BODY_BYTES} bytes"
-            )
-        self._body_consumed = True
-        return self.rfile.read(length)
-
-    # ------------------------------------------------------------------
-    def _dispatch(self, method: str) -> None:
-        self._body_consumed = False
-        router: FleetRouter = self.server.router  # type: ignore[attr-defined]
-        try:
-            try:
-                handled = router.route(method, self.path, self)
-            except _RouteError:
-                raise
-            except ShardUnavailable as error:
-                raise _unavailable(error) from None
-            except MonitorError as error:
-                raise _RouteError(400, str(error)) from None
-            except Exception:
-                traceback.print_exc(file=sys.stderr)
-                raise _RouteError(
-                    500, "unexpected router error; see the router log"
-                ) from None
-        except _RouteError as error:
-            self._send_json(
-                error.status,
-                {"error": error.message, **error.extra},
-                headers=error.headers,
-            )
-            return
-        status, body, headers = handled
-        self._send_raw(status, body, headers)
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib casing
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._dispatch("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._dispatch("DELETE")
 
 
-class FleetRouter:
+class FleetRouter(HttpServer):
     """The HTTP front process for a sharded monitoring fleet.
 
     Parameters
@@ -242,6 +123,9 @@ class FleetRouter:
     verbose:
         Log each request to stderr.
     """
+
+    handler = _RouterHandler
+    role = "router"
 
     def __init__(
         self,
@@ -264,73 +148,20 @@ class FleetRouter:
             )
         self._table = table
         self.timeout = float(timeout)
-        self.verbose = bool(verbose)
-        self._httpd = ThreadingHTTPServer((host, port), _RouterHandler)
-        self._httpd.daemon_threads = True
-        self._httpd.router = self  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
-        self._shutdown_lock = threading.Lock()
-        self._stopped = False
-
-    # ------------------------------------------------------------------
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "FleetRouter":
-        """Serve in a daemon thread; returns immediately."""
-        if self._thread is not None:
-            raise MonitorError("the router is already running")
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-fleet-router",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (the CLI path)."""
-        self._httpd.serve_forever()
-
-    def shutdown(self) -> None:
-        """Stop serving. Safe to call more than once."""
-        with self._shutdown_lock:
-            if self._stopped:
-                return
-            self._stopped = True
-        self._httpd.shutdown()
-        if self._thread is not None:
-            self._thread.join(timeout=10)
-            self._thread = None
-        self._httpd.server_close()
-
-    def __enter__(self) -> "FleetRouter":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
+        super().__init__(host, port, verbose=verbose)
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
     def route(
-        self, method: str, path_qs: str, request: _RouterHandler
-    ) -> tuple[int, bytes, dict[str, str]]:
+        self, method: str, path_qs: str, request: JsonHandler
+    ) -> tuple[Any, ...]:
         path = path_qs.split("?", 1)[0]
         if path == "/healthz" and method == "GET":
-            return self._json(200, self._table.fleet_health())
+            return 200, self._table.fleet_health()
         if path == "/metrics":
             if method != "GET":
-                raise _RouteError(405, f"{method} is not supported on {path}")
+                raise HttpError(405, f"{method} is not supported on {path}")
             merged, unavailable = self._fleet_metrics()
             lines = []
             for shard in unavailable:
@@ -343,150 +174,119 @@ class FleetRouter:
             return 200, body, {"Content-Type": PROMETHEUS_CONTENT_TYPE}
         if path == "/metrics.json":
             if method != "GET":
-                raise _RouteError(405, f"{method} is not supported on {path}")
+                raise HttpError(405, f"{method} is not supported on {path}")
             merged, _unavailable = self._fleet_metrics()
-            return self._json(200, merged.state_dict())
+            return 200, merged.state_dict()
         if path == "/monitors":
             if method == "GET":
-                return self._json(200, self._list_monitors())
+                return 200, self._list_monitors()
             if method == "POST":
-                body = request._read_body()
+                body = request.read_body()
                 return self._forward_named(
                     method, path_qs, self._name_from_config(body), body
                 )
-            raise _RouteError(405, f"{method} is not supported on {path}")
+            raise HttpError(405, f"{method} is not supported on {path}")
         match = _NAME_ROUTE.match(path)
         if match is None:
-            raise _RouteError(404, f"no route for {path}")
+            raise HttpError(404, f"no route for {path}")
         body = None
         if method == "POST":
-            body = request._read_body()
+            body = request.read_body()
         return self._forward_named(method, path_qs, match.group("name"), body)
 
-    @staticmethod
-    def _json(
-        status: int, payload: dict[str, Any]
-    ) -> tuple[int, bytes, dict[str, str]]:
-        body = json.dumps(
-            sanitize_floats(payload), allow_nan=False
-        ).encode("utf-8")
-        return status, body, {}
+    def http_error(self, error: Exception) -> HttpError:
+        if isinstance(error, ShardUnavailable):
+            return HttpError(
+                503,
+                str(error),
+                headers={"Retry-After": f"{error.retry_after:g}"},
+                extra={
+                    "shard": error.shard,
+                    "retry_after": error.retry_after,
+                    "degraded": True,
+                },
+            )
+        if isinstance(error, MonitorError):
+            return HttpError(400, str(error))
+        traceback.print_exc(file=sys.stderr)
+        return HttpError(500, "unexpected router error; see the router log")
 
     @staticmethod
     def _name_from_config(body: bytes) -> str:
-        try:
-            config = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise _RouteError(
-                400, f"request body is not valid JSON: {error}"
-            ) from None
+        config = decode_json(body)
         name = config.get("name") if isinstance(config, dict) else None
         if not isinstance(name, str) or not name:
-            raise _RouteError(
+            raise HttpError(
                 400, 'the monitor config must carry a string "name"'
             )
         return name
 
-    def _list_monitors(self) -> dict[str, Any]:
-        """Fan ``GET /monitors`` out to every shard and merge.
+    def _fan_out(
+        self, path: str, decode: Callable[[Any], _Answer]
+    ) -> tuple[dict[int, _Answer], list[int]]:
+        """``GET path`` on every shard: the decoded answers by shard, and
+        the shards that gave none.
 
-        Down shards are reported in ``unavailable_shards`` rather than
-        failing the listing — unless *every* shard is down, which is a
+        A shard gives none when its table entry is down, the request
+        fails, or it answers anything but a ``200`` whose JSON body
+        ``decode`` accepts. Down shards are reported rather than failing
+        the fan-out — unless *every* shard is down, which is a
         fleet-wide outage and surfaces as the 503 it is.
         """
-        names: list[str] = []
+        answers: dict[int, _Answer] = {}
         unavailable: list[int] = []
         for shard in range(self._table.n_shards):
             try:
-                url = self._table.shard_url(shard)
-                with urllib.request.urlopen(
-                    f"{url}/monitors", timeout=self.timeout
-                ) as response:
-                    payload = json.loads(response.read().decode("utf-8"))
-                names.extend(payload.get("monitors", []))
-            except (
-                ShardUnavailable,
-                urllib.error.URLError,
-                ConnectionError,
-                TimeoutError,
-                socket.timeout,
-                json.JSONDecodeError,
-            ):
+                reply = send_request(
+                    "GET",
+                    self._table.shard_url(shard) + path,
+                    timeout=self.timeout,
+                )
+                if reply.status != 200:
+                    raise ValueError(f"shard answered HTTP {reply.status}")
+                answers[shard] = decode(json.loads(reply.body.decode("utf-8")))
+            except (ShardUnavailable, TransportError, ValueError):
                 unavailable.append(shard)
-        if unavailable and len(unavailable) == self._table.n_shards:
-            raise _RouteError(
+        if len(unavailable) == self._table.n_shards:
+            raise HttpError(
                 503,
                 "every shard is unavailable",
                 headers={"Retry-After": "1"},
                 extra={"retry_after": 1.0, "degraded": True},
             )
-        return {"monitors": sorted(names), "unavailable_shards": unavailable}
+        return answers, unavailable
+
+    def _list_monitors(self) -> dict[str, Any]:
+        """Fan ``GET /monitors`` out to every shard and merge."""
+        answers, unavailable = self._fan_out(
+            "/monitors", lambda payload: payload.get("monitors", [])
+        )
+        names = sorted(name for listed in answers.values() for name in listed)
+        return {"monitors": names, "unavailable_shards": unavailable}
 
     def _fleet_metrics(self) -> tuple[MetricsRegistry, list[int]]:
         """Fan ``GET /metrics.json`` out to every shard and tree-merge.
 
         Each shard serves its registry's ``state_dict()``; the router
         rehydrates them with :meth:`MetricsRegistry.from_state` and
-        folds them pairwise. Counters and histogram bucket counts are
-        integer sums, so the fleet page is *bit-exact* with respect to
-        the shard pages. Availability rides along in the result itself:
+        folds them with :func:`repro.engine.backends.tree_merge`.
+        Counters and histogram bucket counts are integer sums, so the
+        fleet page is *bit-exact* with respect to the shard pages.
+        Availability rides along in the result itself:
         ``repro_fleet_shard_up{shard="NN"}`` is 1 for every shard that
         answered and 0 for every shard whose metrics are missing from
-        the totals. All shards down is a fleet-wide outage → 503.
+        the totals.
         """
-        registries: list[MetricsRegistry] = []
-        unavailable: list[int] = []
-        up: dict[int, bool] = {}
+        answers, unavailable = self._fan_out(
+            "/metrics.json", MetricsRegistry.from_state
+        )
+        merged = tree_merge(list(answers.values()))
         for shard in range(self._table.n_shards):
-            try:
-                url = self._table.shard_url(shard)
-                with urllib.request.urlopen(
-                    f"{url}/metrics.json", timeout=self.timeout
-                ) as response:
-                    payload = json.loads(response.read().decode("utf-8"))
-                registries.append(MetricsRegistry.from_state(payload))
-                up[shard] = True
-            except (
-                ShardUnavailable,
-                urllib.error.URLError,
-                ConnectionError,
-                TimeoutError,
-                socket.timeout,
-                json.JSONDecodeError,
-                ValidationError,
-            ):
-                unavailable.append(shard)
-                up[shard] = False
-        if unavailable and len(unavailable) == self._table.n_shards:
-            raise _RouteError(
-                503,
-                "every shard is unavailable",
-                headers={"Retry-After": "1"},
-                extra={"retry_after": 1.0, "degraded": True},
-            )
-        # Tree-merge: fold pairs per round instead of a left fold. Same
-        # result (merge is associative + commutative); shape mirrors the
-        # checkpoint merge used across the engine.
-        while len(registries) > 1:
-            merged_round = []
-            for index in range(0, len(registries) - 1, 2):
-                merged_round.append(
-                    registries[index].merge(registries[index + 1])
-                )
-            if len(registries) % 2:
-                merged_round.append(registries[-1])
-            registries = merged_round
-        merged = registries[0] if registries else MetricsRegistry()
-        shard_up = {
-            shard: merged.gauge(
+            merged.gauge(
                 "repro_fleet_shard_up",
                 "1 when the shard answered the metrics fan-out, else 0.",
                 labels={"shard": f"{shard:02d}"},
-            )
-            for shard in up
-        }
-        for shard, alive in up.items():
-            shard_up[shard].set(1 if alive else 0)
+            ).set(1 if shard in answers else 0)
         return merged, unavailable
 
     def _forward_named(
@@ -517,43 +317,28 @@ class FleetRouter:
         the connection was refused outright (refused means the request
         provably never reached the shard's WAL).
         """
-        forwarded = urllib.request.Request(url + path_qs, method=method)
-        if body is not None:
-            forwarded.add_header("Content-Type", "application/json")
-            forwarded.data = body
         try:
-            with urllib.request.urlopen(
-                forwarded, timeout=self.timeout
-            ) as response:
-                return response.status, response.read(), {}
-        except urllib.error.HTTPError as error:
-            payload = error.read()
-            headers = {}
-            retry_after = error.headers.get("Retry-After")
-            if retry_after is not None:
-                headers["Retry-After"] = retry_after
-            return error.code, payload, headers
-        except (
-            urllib.error.URLError,
-            ConnectionError,
-            TimeoutError,
-            socket.timeout,
-        ) as error:
-            reason = getattr(error, "reason", error)
+            reply = send_request(
+                method, url + path_qs, body=body, timeout=self.timeout
+            )
+        except TransportError as error:
             retry_after = self._retry_after(shard)
             extra: dict[str, Any] = {
                 "shard": shard,
                 "retry_after": retry_after,
                 "degraded": True,
             }
-            if not isinstance(reason, ConnectionRefusedError):
+            if not error.refused:
                 extra["outcome_unknown"] = True
-            raise _RouteError(
+            raise HttpError(
                 503,
-                f"shard {shard} is unavailable: {reason}",
+                f"shard {shard} is unavailable: {error}",
                 headers={"Retry-After": f"{retry_after:g}"},
                 extra=extra,
             ) from None
+        retry_after = reply.headers.get("Retry-After")
+        headers = {} if retry_after is None else {"Retry-After": retry_after}
+        return reply.status, reply.body, headers
 
     def _retry_after(self, shard: int) -> float:
         hint = getattr(self._table, "shard_retry_after", None)

@@ -3,11 +3,13 @@
 This is the serving layer the ROADMAP's north star asks for: deployed
 mechanisms POST their decision rows as they happen, and the service
 keeps every monitor's differential fairness current, durable, and
-alert-guarded. It is deliberately stdlib-only
-(:class:`http.server.ThreadingHTTPServer` + ``json``) so the repo's
-no-new-dependencies constraint holds; the concurrency story lives in
-:class:`repro.monitor.registry.MonitorRegistry` (per-monitor locks), and
-the HTTP layer just maps requests onto it.
+alert-guarded. It is deliberately stdlib-only so the repo's
+no-new-dependencies constraint holds. The HTTP plumbing it shares with
+the fleet router — the error shape, the keep-alive request handler and
+the server lifecycle — lives in :mod:`repro.monitor.http`; this module
+keeps only the routes and the mapping from exceptions to statuses. The
+concurrency story lives in :class:`repro.monitor.registry.MonitorRegistry`
+(per-monitor locks).
 
 API
 ---
@@ -50,14 +52,12 @@ the previous generation.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 import threading
 import time
 import traceback
 from datetime import datetime, timezone
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
 from urllib.parse import parse_qs, urlparse
@@ -68,13 +68,16 @@ from repro.exceptions import (
     ValidationError,
     WalError,
 )
+from repro.monitor.http import (
+    MAX_BODY_BYTES,  # re-exported: the service's request-size limit
+    HttpError,
+    HttpServer,
+    JsonHandler,
+)
 from repro.monitor.registry import MonitorConfig, MonitorRegistry
-from repro.monitor.store import sanitize_floats
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, MetricsRegistry
 
 __all__ = ["MonitorService", "render_status", "status_snapshot"]
-
-MAX_BODY_BYTES = 64 * 1024 * 1024
 
 # The Retry-After hint sent with queue-full (429) rejections. Clients
 # using MonitorClient jitter around it, so rejected callers do not
@@ -90,192 +93,13 @@ _MONITOR_ROUTE = re.compile(
 )
 
 
-class _HttpError(Exception):
-    def __init__(
-        self,
-        status: int,
-        message: str,
-        *,
-        headers: dict[str, str] | None = None,
-        extra: dict[str, Any] | None = None,
-    ):
-        super().__init__(message)
-        self.status = status
-        self.message = message
-        self.headers = dict(headers or {})
-        # Extra machine-readable fields merged into the error body
-        # (e.g. degraded/retry_after on a 503).
-        self.extra = dict(extra or {})
-
-
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JsonHandler):
     """Routes requests onto the owning :class:`MonitorService`."""
 
     server_version = "repro-monitor/1"
-    protocol_version = "HTTP/1.1"
-
-    # The default handler logs every request to stderr; the service
-    # decides whether that noise is wanted.
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if self.server.service.verbose:  # type: ignore[attr-defined]
-            super().log_message(format, *args)
-
-    # ------------------------------------------------------------------
-    def _drain_unread_body(self) -> None:
-        """Consume a request body the route never read.
-
-        This handler speaks keep-alive HTTP/1.1: if an error response is
-        sent while the body still sits in the socket (404 on a POST to a
-        bad path, 405, 413), the leftover bytes would be parsed as the
-        *next* request line, desynchronising the connection. Small
-        bodies are read and discarded; oversized ones are cheaper to
-        abandon by closing the connection after the response.
-        """
-        if getattr(self, "_body_consumed", False):
-            return
-        self._body_consumed = True
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length <= 0:
-            return
-        if length > MAX_BODY_BYTES:
-            self.close_connection = True
-            return
-        self.rfile.read(length)
-
-    def _send_json(
-        self,
-        status: int,
-        payload: dict[str, Any],
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        self._drain_unread_body()
-        body = json.dumps(
-            sanitize_floats(payload), allow_nan=False
-        ).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, text: str) -> None:
-        """Plain-text response (the Prometheus exposition format)."""
-        self._drain_unread_body()
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", PROMETHEUS_CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json_body(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length <= 0:
-            raise _HttpError(400, "a JSON request body is required")
-        if length > MAX_BODY_BYTES:
-            raise _HttpError(
-                413, f"request body exceeds {MAX_BODY_BYTES} bytes"
-            )
-        self._body_consumed = True
-        try:
-            body = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise _HttpError(400, f"request body is not valid JSON: {error}")
-        if not isinstance(body, dict):
-            raise _HttpError(400, "request body must be a JSON object")
-        return body
-
-    def _dispatch(self, method: str) -> None:
-        # One handler instance serves every request on a keep-alive
-        # connection; the consumed-body flag is per *request*.
-        self._body_consumed = False
-        service: MonitorService = self.server.service  # type: ignore[attr-defined]
-        url = urlparse(self.path)
-        if url.path == "/metrics" and method == "GET":
-            # The one non-JSON route: Prometheus text exposition.
-            try:
-                text = service.metrics_text()
-            except _HttpError as error:
-                self._send_json(
-                    error.status,
-                    {"error": error.message, **error.extra},
-                    headers=error.headers,
-                )
-                return
-            self._send_text(200, text)
-            return
-        try:
-            try:
-                status, payload = service.handle(
-                    method, url.path, parse_qs(url.query), self
-                )
-            except _HttpError:
-                raise
-            except WalError as error:
-                if error.indeterminate:
-                    # A failed fsync that could not be rolled back: the
-                    # record may still be durable and replayed after a
-                    # crash, so a client retry could double-count the
-                    # batch. 500 (which MonitorClient never retries),
-                    # not the retryable 503 — and no Retry-After bait.
-                    raise _HttpError(
-                        500,
-                        str(error),
-                        extra={"degraded": True, "indeterminate": True},
-                    ) from None
-                # The durable log cannot take appends and the batch is
-                # provably not logged: shed load with a machine-readable
-                # degraded marker so clients back off and retry.
-                raise _HttpError(
-                    503,
-                    str(error),
-                    headers={"Retry-After": f"{error.retry_after:g}"},
-                    extra={
-                        "degraded": True,
-                        "retry_after": error.retry_after,
-                    },
-                ) from None
-            except MonitorError as error:
-                message = str(error)
-                if "no monitor named" in message:
-                    raise _HttpError(404, message) from None
-                if "already exists" in message:
-                    raise _HttpError(409, message) from None
-                raise _HttpError(400, message) from None
-            except ValidationError as error:
-                raise _HttpError(400, str(error)) from None
-            except ReproError as error:
-                raise _HttpError(500, str(error)) from None
-            except Exception:
-                # A bug, not a modelled failure: the client gets the
-                # uniform JSON error shape (never a raw traceback); the
-                # traceback goes to the server log where it belongs.
-                traceback.print_exc(file=sys.stderr)
-                raise _HttpError(
-                    500, "unexpected server error; see the service log"
-                ) from None
-        except _HttpError as error:
-            self._send_json(
-                error.status,
-                {"error": error.message, **error.extra},
-                headers=error.headers,
-            )
-            return
-        self._send_json(status, payload)
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib casing
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._dispatch("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._dispatch("DELETE")
 
 
-class MonitorService:
+class MonitorService(HttpServer):
     """The HTTP facade over a :class:`MonitorRegistry`.
 
     Parameters
@@ -310,6 +134,9 @@ class MonitorService:
         supervisor labels each worker ``shard-NN``).
     """
 
+    handler = _Handler
+    role = "service"
+
     def __init__(
         self,
         registry: MonitorRegistry | None,
@@ -330,7 +157,6 @@ class MonitorService:
                 f"queue_depth must be >= 0 requests, got {queue_depth}"
             )
         self.registry = registry
-        self.verbose = bool(verbose)
         self.label = label
         self._checkpoint_every = int(checkpoint_every)
         self._queue_depth = int(queue_depth)
@@ -339,26 +165,9 @@ class MonitorService:
         # Populated by shutdown(): monitors whose final checkpoint
         # failed (name -> message). The CLI exits nonzero when nonempty.
         self.checkpoint_failures: dict[str, str] = {}
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._httpd.service = self  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
-        self._shutdown_lock = threading.Lock()
-        self._stopped = False
+        super().__init__(host, port, verbose=verbose)
 
     # ------------------------------------------------------------------
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
     def attach_registry(self, registry: MonitorRegistry) -> None:
         """Wire in the registry of a service constructed with ``None``.
 
@@ -371,37 +180,6 @@ class MonitorService:
             raise MonitorError("the service already has a registry")
         self.registry = registry
 
-    def metrics_text(self) -> str:
-        """The ``GET /metrics`` page (Prometheus text exposition)."""
-        if self.registry is None:
-            raise _HttpError(
-                503,
-                "the service is starting (registry not yet attached); "
-                "retry later",
-                headers={"Retry-After": f"{STARTING_RETRY_AFTER:g}"},
-                extra={
-                    "starting": True,
-                    "retry_after": STARTING_RETRY_AFTER,
-                },
-            )
-        return self.registry.metrics.render_prometheus()
-
-    def start(self) -> "MonitorService":
-        """Serve in a daemon thread; returns immediately."""
-        if self._thread is not None:
-            raise MonitorError("the service is already running")
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-monitor-service",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (the CLI path)."""
-        self._httpd.serve_forever()
-
     def shutdown(self) -> int:
         """Stop serving and checkpoint every monitor; returns how many.
 
@@ -411,18 +189,9 @@ class MonitorService:
         final checkpoint — and recorded in :attr:`checkpoint_failures`
         so the CLI can exit nonzero.
         """
-        with self._shutdown_lock:
-            if self._stopped:
-                return 0
-            self._stopped = True
-        self._httpd.shutdown()
-        if self._thread is not None:
-            self._thread.join(timeout=10)
-            self._thread = None
-        self._httpd.server_close()
-        checkpointed = 0
-        if self.registry is None:
+        if not super().shutdown() or self.registry is None:
             return 0
+        checkpointed = 0
         if self.registry.is_durable:
 
             def on_error(name: str, error: Exception) -> None:
@@ -437,29 +206,21 @@ class MonitorService:
         self.registry.close()
         return checkpointed
 
-    def __enter__(self) -> "MonitorService":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def handle(
-        self,
-        method: str,
-        path: str,
-        query: dict[str, list[str]],
-        request: _Handler,
-    ) -> tuple[int, dict[str, Any]]:
+    def route(
+        self, method: str, path_qs: str, request: JsonHandler
+    ) -> tuple[Any, ...]:
+        url = urlparse(path_qs)
+        path = url.path
         if path == "/healthz" and method == "GET":
             return 200, self._healthz()
         if self.registry is None:
             # Bound but not yet attached (WAL replay in progress): shed
             # everything but healthz with a retryable 503 so clients
             # back off and converge once replay finishes.
-            raise _HttpError(
+            raise HttpError(
                 503,
                 "the service is starting (registry not yet attached); "
                 "retry later",
@@ -469,9 +230,17 @@ class MonitorService:
                     "retry_after": STARTING_RETRY_AFTER,
                 },
             )
+        if path == "/metrics" and method == "GET":
+            # The one non-JSON route: Prometheus text exposition.
+            text = self.registry.metrics.render_prometheus()
+            return (
+                200,
+                text.encode("utf-8"),
+                {"Content-Type": PROMETHEUS_CONTENT_TYPE},
+            )
         if path == "/metrics.json":
             if method != "GET":
-                raise _HttpError(405, f"{method} is not supported on {path}")
+                raise HttpError(405, f"{method} is not supported on {path}")
             # The mergeable snapshot feed: the fleet router fetches this
             # from every shard, rehydrates with MetricsRegistry.from_state,
             # and tree-merges into the fleet /metrics page (bit-exact
@@ -481,11 +250,11 @@ class MonitorService:
             if method == "GET":
                 return 200, {"monitors": self.registry.names()}
             if method == "POST":
-                return 201, self._create(request._read_json_body())
-            raise _HttpError(405, f"{method} is not supported on {path}")
+                return 201, self._create(request.read_json())
+            raise HttpError(405, f"{method} is not supported on {path}")
         match = _MONITOR_ROUTE.match(path)
         if match is None:
-            raise _HttpError(404, f"no route for {path}")
+            raise HttpError(404, f"no route for {path}")
         name, action = match.group("name"), match.group("action")
         if action is None:
             if method == "DELETE":
@@ -493,16 +262,55 @@ class MonitorService:
                 return 200, {"deleted": name}
             if method == "GET":
                 return 200, self.registry.report(name).to_dict()
-            raise _HttpError(405, f"{method} is not supported on {path}")
+            raise HttpError(405, f"{method} is not supported on {path}")
         if action == "observe":
             if method != "POST":
-                raise _HttpError(405, "observe requires POST")
-            return 200, self._observe(name, request._read_json_body())
+                raise HttpError(405, "observe requires POST")
+            return 200, self._observe(name, request.read_json())
         if method != "GET":
-            raise _HttpError(405, f"{action} requires GET")
+            raise HttpError(405, f"{action} requires GET")
         if action == "report":
             return 200, self.registry.report(name).to_dict()
-        return 200, self._records(name, action, query)
+        return 200, self._records(name, action, parse_qs(url.query))
+
+    def http_error(self, error: Exception) -> HttpError:
+        if isinstance(error, WalError):
+            if error.indeterminate:
+                # A failed fsync that could not be rolled back: the
+                # record may still be durable and replayed after a
+                # crash, so a client retry could double-count the
+                # batch. 500 (which MonitorClient never retries),
+                # not the retryable 503 — and no Retry-After bait.
+                return HttpError(
+                    500,
+                    str(error),
+                    extra={"degraded": True, "indeterminate": True},
+                )
+            # The durable log cannot take appends and the batch is
+            # provably not logged: shed load with a machine-readable
+            # degraded marker so clients back off and retry.
+            return HttpError(
+                503,
+                str(error),
+                headers={"Retry-After": f"{error.retry_after:g}"},
+                extra={"degraded": True, "retry_after": error.retry_after},
+            )
+        if isinstance(error, MonitorError):
+            message = str(error)
+            if "no monitor named" in message:
+                return HttpError(404, message)
+            if "already exists" in message:
+                return HttpError(409, message)
+            return HttpError(400, message)
+        if isinstance(error, ValidationError):
+            return HttpError(400, str(error))
+        if isinstance(error, ReproError):
+            return HttpError(500, str(error))
+        # A bug, not a modelled failure: the client gets the uniform
+        # JSON error shape (never a raw traceback); the traceback goes
+        # to the server log where it belongs.
+        traceback.print_exc(file=sys.stderr)
+        return HttpError(500, "unexpected server error; see the service log")
 
     def _healthz(self) -> dict[str, Any]:
         if self.registry is None:
@@ -544,8 +352,8 @@ class MonitorService:
         # percentile *bands* (the histogram boundary the quantile fell
         # under), not averages — the per-component banding the paper's
         # continuous-monitoring framing asks for. Bands can be +Inf
-        # (overflow bucket); _send_json's sanitize_floats keeps the
-        # payload strict-JSON-safe.
+        # (overflow bucket); the response writer's sanitize_floats
+        # keeps the payload strict-JSON-safe.
         metrics = self.registry.metrics
         latency = {
             name: summary
@@ -581,10 +389,10 @@ class MonitorService:
     def _observe(self, name: str, body: dict[str, Any]) -> dict[str, Any]:
         rows = body.get("rows")
         if not isinstance(rows, list) or not rows:
-            raise _HttpError(400, 'the body must carry a non-empty "rows" list')
+            raise HttpError(400, 'the body must carry a non-empty "rows" list')
         batch_id = body.get("batch_id")
         if batch_id is not None and not isinstance(batch_id, str):
-            raise _HttpError(400, '"batch_id" must be a string when given')
+            raise HttpError(400, '"batch_id" must be a string when given')
         monitor = self.registry.get(name)
         self._admit(name)
         try:
@@ -615,7 +423,7 @@ class MonitorService:
         with self._inflight_lock:
             inflight = self._inflight.get(name, 0)
             if inflight >= self._queue_depth:
-                raise _HttpError(
+                raise HttpError(
                     429,
                     f"monitor {name!r} ingestion queue is full "
                     f"({inflight} requests in flight, depth "
@@ -639,14 +447,14 @@ class MonitorService:
         self, name: str, action: str, query: dict[str, list[str]]
     ) -> dict[str, Any]:
         if self.registry.store is None:
-            raise _HttpError(400, "this registry has no history store")
+            raise HttpError(400, "this registry has no history store")
         self.registry.get(name)  # 404 for unknown monitors
         try:
             since = int(query.get("since", ["0"])[0])
             limit_values = query.get("limit")
             limit = None if limit_values is None else int(limit_values[0])
         except ValueError as error:
-            raise _HttpError(400, f"bad query parameter: {error}") from None
+            raise HttpError(400, f"bad query parameter: {error}") from None
         kind = "batch" if action == "history" else "alert"
         records = self.registry.store.query(
             monitor=name, kind=kind, since=since, limit=limit

@@ -318,9 +318,8 @@ class AuditHistoryStore:
         Timestamp source for appended records. Injectable so tests and
         golden fixtures are deterministic; defaults to
         :func:`time.time`.
-    fsync:
-        Whether every append fsyncs the segment (durable by default;
-        benchmarks may trade durability for throughput).
+
+    Every append fsyncs its segment before returning.
     """
 
     def __init__(
@@ -329,7 +328,6 @@ class AuditHistoryStore:
         *,
         segment_bytes: int = 4 * 1024 * 1024,
         clock: Callable[[], float] = time.time,
-        fsync: bool = True,
     ):
         if segment_bytes < _SEGMENT_PREAMBLE.size + _RECORD_FRAME.size:
             raise ValidationError(
@@ -340,7 +338,6 @@ class AuditHistoryStore:
         self._directory.mkdir(parents=True, exist_ok=True)
         self._segment_bytes = int(segment_bytes)
         self._clock = clock
-        self._fsync = bool(fsync)
         self._lock = threading.Lock()
         self._handle = None
         segments = self._segments()
@@ -434,8 +431,7 @@ class AuditHistoryStore:
             with self._active.open("ab") as handle:
                 handle.write(encode_record(payload))
                 handle.flush()
-                if self._fsync:
-                    os.fsync(handle.fileno())
+                os.fsync(handle.fileno())
                 size = handle.tell()
             self._next_seq += 1
             if size >= self._segment_bytes:

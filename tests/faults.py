@@ -29,14 +29,23 @@ send from another thread, and after the ack). No simulation there: the
 kernel delivers the signal, the supervisor restarts the shard, WAL
 replay restores acked batches, and ``batch_id`` dedup absorbs the
 retries whose ack the kill ate.
+
+Two small probes cover the HTTP and config-file edges:
+:func:`cut_off_reply_server` is a peer that dies mid-reply, and
+:func:`renames_fsynced_first` checks that an atomic rename's source was
+fsynced before it landed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
+import socket
 import threading
 import time
+
+import pytest
 
 from repro.exceptions import MonitorClientError, WalError
 from repro.monitor.registry import MonitorConfig, MonitorRegistry
@@ -46,8 +55,10 @@ __all__ = [
     "CrashingCall",
     "FaultyFileSystem",
     "SimulatedCrash",
+    "cut_off_reply_server",
     "feed_fleet_with_kills",
     "feed_with_recovery",
+    "renames_fsynced_first",
     "send_until_acked",
 ]
 
@@ -326,3 +337,81 @@ def feed_fleet_with_kills(
             kill()
             kills += 1
     return results, kills
+
+
+# ----------------------------------------------------------------------
+# HTTP and config-file edges
+# ----------------------------------------------------------------------
+@contextlib.contextmanager
+def cut_off_reply_server():
+    """A raw-socket HTTP peer that dies mid-reply; yields its base URL.
+
+    Each connection gets its whole request read, then ``HTTP/1.1 200``
+    with ``Content-Length: 100`` and only 10 body bytes before the
+    socket closes. Reading the request first makes the close a FIN, not
+    a reset, so the client sees a reply cut off mid-body.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.1)
+    stop = threading.Event()
+
+    def serve() -> None:
+        while not stop.is_set():
+            try:
+                connection, _ = listener.accept()
+            except TimeoutError:
+                continue
+            except OSError:  # the listener was closed
+                return
+            with connection, connection.makefile("rb") as stream:
+                connection.settimeout(5)
+                length = 0
+                for line in iter(stream.readline, b"\r\n"):
+                    if not line:  # the client hung up
+                        break
+                    name, _, value = line.partition(b":")
+                    if name.strip().lower() == b"content-length":
+                        length = int(value)
+                stream.read(length)
+                connection.sendall(
+                    b"HTTP/1.1 200 OK\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: 100\r\n\r\n" + b"x" * 10
+                )
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}"
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+        listener.close()
+
+
+def renames_fsynced_first(action, target: str) -> list[bool]:
+    """Run ``action`` and report, for each ``os.replace`` onto a file
+    named ``target``, whether its source was fsynced before the rename.
+
+    Records the inode every ``os.fsync`` saw and the source inode of
+    every ``os.replace``; a rename that can land before its data is a
+    ``False``.
+    """
+    fsynced: set[int] = set()
+    verdicts: list[bool] = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        fsynced.add(os.fstat(fd).st_ino)
+        return real_fsync(fd)
+
+    def replace(source, destination, *args, **kwargs):
+        if os.path.basename(destination) == target:
+            verdicts.append(os.stat(source).st_ino in fsynced)
+        return real_replace(source, destination, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "fsync", fsync)
+        patch.setattr(os, "replace", replace)
+        action()
+    return verdicts

@@ -22,6 +22,7 @@ import urllib.error
 
 import pytest
 
+from faults import cut_off_reply_server
 from repro.exceptions import MonitorClientError, ValidationError
 from repro.monitor.backoff import decorrelated_jitter, retry_call
 from repro.monitor.client import RETRYABLE_STATUSES, MonitorClient
@@ -423,6 +424,15 @@ class TestMonitorClient:
         )
         assert _client(transport).healthz() == {"status": "ok"}
         assert len(transport.requests) == 2
+
+    def test_reply_cut_off_mid_body_is_a_transient_failure(self):
+        # The peer died while answering: counted as a reset (retryable,
+        # status 0), never a raw http.client.IncompleteRead.
+        with cut_off_reply_server() as url:
+            with pytest.raises(MonitorClientError) as excinfo:
+                MonitorClient(url, retries=0).healthz()
+        assert excinfo.value.status == 0
+        assert excinfo.value.transient is True
 
     def test_other_transport_failures_are_not_retried(self):
         # DNS failure, TLS error, bad URL... retrying cannot help and

@@ -31,7 +31,11 @@ from collections import deque
 import numpy as np
 import pytest
 
-from faults import feed_fleet_with_kills
+from faults import (
+    cut_off_reply_server,
+    feed_fleet_with_kills,
+    renames_fsynced_first,
+)
 from repro.core.empirical import dataset_edf
 from repro.exceptions import (
     FleetError,
@@ -157,6 +161,19 @@ class TestFleetLayout:
         # ...a different count would silently re-route monitors.
         with pytest.raises(FleetError, match="hash-routing"):
             init_fleet_dir(fleet, 4)
+
+    def test_fleet_json_is_fsynced_before_it_is_renamed_in(self, tmp_path):
+        # A torn or empty fleet.json after a crash makes fleet-serve
+        # refuse the directory.
+        fleet = tmp_path / "fleet"
+        verdicts = renames_fsynced_first(
+            lambda: init_fleet_dir(fleet, 2), "fleet.json"
+        )
+        assert verdicts == [True]
+        assert json.loads((fleet / "fleet.json").read_text()) == {
+            "version": 1,
+            "shards": 2,
+        }
 
     def test_first_use_requires_a_count(self, tmp_path):
         with pytest.raises(FleetError, match="no recorded layout"):
@@ -745,6 +762,46 @@ class TestFleetRouter:
         assert body["degraded"] is True
         assert "outcome_unknown" not in body
         assert float(headers["Retry-After"]) == 0.25
+
+    def test_reply_cut_off_mid_body_is_outcome_unknown(self, fake_table):
+        # The shard died while answering: the batch may have been
+        # applied, so the router answers the retryable 503 of a reset,
+        # with outcome_unknown, not a 500.
+        name = names_for_shards(2)[0]
+        with cut_off_reply_server() as url:
+            fake_table.urls[0] = url
+            with FleetRouter(fake_table, timeout=5.0) as router:
+                status, body, headers = HttpProbe(router.url).request(
+                    "POST", f"/monitors/{name}/observe", {"rows": [["a"]]}
+                )
+        assert status == 503
+        assert body["degraded"] is True
+        assert body["outcome_unknown"] is True
+        assert body["shard"] == 0
+        assert float(headers["Retry-After"]) == 0.25
+
+    def test_keepalive_connection_survives_error_responses(self, router):
+        # The router's body drain: a POST whose body no route reads
+        # (404/405) must not leave bytes in the socket to be parsed as
+        # the next request line.
+        import http.client
+
+        connection = http.client.HTTPConnection(
+            router.host, router.port, timeout=10
+        )
+        try:
+            payload = json.dumps({"rows": synthetic_rows(50)})
+            for path, expected in [("/nope", 404), ("/metrics", 405)]:
+                connection.request("POST", path, body=payload)
+                response = connection.getresponse()
+                assert response.status == expected
+                response.read()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["status"] == "ok"
+        finally:
+            connection.close()
 
     def test_shard_errors_relay_verbatim(self, router):
         probe = HttpProbe(router.url)

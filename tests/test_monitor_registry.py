@@ -17,6 +17,7 @@ import threading
 import numpy as np
 import pytest
 
+from faults import renames_fsynced_first
 from repro.audit.auditor import FairnessAuditor
 from repro.core.empirical import dataset_edf
 from repro.exceptions import CheckpointError, MonitorError, ValidationError
@@ -301,6 +302,19 @@ class TestDurability:
         assert monitor.rows_seen == 500
         assert monitor.batches == 1
         assert monitor.report().epsilon == offline_epsilon(rows, window=200)
+
+    def test_monitors_json_is_fsynced_before_it_is_renamed_in(
+        self, tmp_path
+    ):
+        # A rename that lands without its data leaves open() refusing a
+        # directory whose WAL still holds acked batches.
+        registry = self.make_registry(tmp_path)
+        verdicts = renames_fsynced_first(
+            lambda: registry.create("m", NAMES[:2], NAMES[2], alpha=1.0),
+            "monitors.json",
+        )
+        assert verdicts == [True]
+        assert self.make_registry(tmp_path).names() == ["m"]
 
     def test_windowed_resume_continues_bit_identically(self, tmp_path):
         rows = synthetic_rows(600)
