@@ -1,16 +1,17 @@
 """Perf bench: windowed streaming updates vs full recompute.
 
 The streaming audit subsystem's claim is that keeping epsilon current
-over a sliding window costs O(touched cells) per ingestion batch — the
-window table is never rebuilt. This bench pins that claim: a stream of
-synthetic census-like rows is pushed through
+over a sliding window costs a scatter-add of the batch plus one pass
+over the groups per ingestion batch — the window table is never
+rebuilt. This bench pins that claim: a stream of synthetic census-like
+rows is pushed through
 
 * ``full_recompute`` — the one-shot path a cron job would run: on every
   batch, rebuild the window's :class:`Table`, recount the contingency
   tensor, re-estimate, re-measure (``dataset_edf``);
 * ``streaming`` — :class:`repro.audit.stream.StreamingAuditor.observe``:
-  scatter-add the batch, retract the evicted rows, re-estimate only the
-  dirty groups, one batched epsilon call.
+  scatter-add the batch, retract the evicted rows, re-estimate every
+  group from the counts, one batched epsilon call.
 
 Both paths must report **bit-identical** epsilons after every batch (the
 incremental path is exact, not approximate); the acceptance target is a
@@ -199,9 +200,9 @@ def test_zz_write_speedup_record():
         "benchmark": "bench_streaming",
         "workload": "sliding-window point-epsilon maintenance over a "
         "drifting synthetic census stream: StreamingAuditor.observe "
-        "(scatter-add + retract + dirty-group re-estimation + one batched "
-        "epsilon call) vs rebuilding the window Table and running "
-        "dataset_edf per batch",
+        "(scatter-add + retract + re-estimation of every group from the "
+        "counts + one batched epsilon call) vs rebuilding the window Table "
+        "and running dataset_edf per batch",
         "target": {
             "scale": dict(
                 zip(("window_rows", "batch_rows", "n_batches"), TARGET_SCALE)

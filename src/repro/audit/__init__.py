@@ -5,7 +5,7 @@
   the related-work baseline metrics;
 * :class:`StreamingAuditor` — the same dataset audit maintained
   incrementally over a live stream, with sliding-window retraction and
-  O(touched cells) point-epsilon updates;
+  point epsilon recomputed from the live counts after every batch;
 * :class:`FeatureSelectionStudy` — the paper's Table 3 experiment: train a
   classifier with each subset of the sensitive attributes as features and
   measure epsilon, bias amplification, and error.

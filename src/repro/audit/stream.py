@@ -10,11 +10,10 @@ audit current as rows arrive:
 :class:`StreamingAuditor`
     Wraps a :class:`repro.core.streaming.StreamingContingency` and
     maintains the point epsilon of the live window incrementally. An
-    ingestion batch touching k intersectional cells costs O(k)
-    bookkeeping — re-estimating only the dirty groups' probability rows
-    (the built-in estimators are row-wise, so partial recomputation is
-    bitwise exact) — plus one batched
-    :func:`repro.core.batch.epsilon_batch` call; the window table is
+    ingestion batch of k rows costs one O(k) scatter-add into the count
+    matrix; epsilon depends only on those counts, so each measurement
+    is one estimator pass over every group plus one batched
+    :func:`repro.core.batch.epsilon_batch` call, and the window table is
     never rebuilt. With ``window=W`` the auditor retracts the oldest
     rows as new ones arrive, so the reported epsilon always describes
     the last W rows; with ``window=None`` it is cumulative.
@@ -39,15 +38,9 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
 from repro.audit.auditor import DatasetAudit, FairnessAuditor
 from repro.core.batch import epsilon_batch
-from repro.core.estimators import (
-    ProbabilityEstimator,
-    as_estimator,
-    is_builtin_estimator,
-)
+from repro.core.estimators import ProbabilityEstimator, as_estimator
 from repro.core.streaming import StreamingContingency, canonical_rows
 from repro.exceptions import CheckpointError, ValidationError
 from repro.tabular.table import Table
@@ -124,11 +117,6 @@ class StreamingAuditor:
         self._rows: deque[tuple[Any, ...]] = deque()
         self._rows_seen = 0
         self._applied_seq = 0
-        # Incremental epsilon state: probabilities/sizes aligned with the
-        # accumulator's internal group order, valid for _cache_version.
-        self._probabilities: np.ndarray | None = None
-        self._sizes: np.ndarray | None = None
-        self._cache_version = -1
 
     # ------------------------------------------------------------------
     @property
@@ -264,54 +252,22 @@ class StreamingAuditor:
     # ------------------------------------------------------------------
     # Measurements
     # ------------------------------------------------------------------
-    def _refresh_probabilities(self) -> None:
-        """Bring the cached probability matrix up to date.
-
-        Builtin estimators are row-wise, so only the accumulator's dirty
-        groups are re-estimated — O(touched cells) per refresh. Any axis
-        growth (or a user-defined estimator, which may pool across rows)
-        falls back to one full re-estimation.
-        """
-        accumulator = self._accumulator
-        counts = accumulator.counts.reshape(-1, len(accumulator.outcome_levels))
-        full = (
-            self._cache_version != accumulator.schema_version
-            or self._probabilities is None
-            or not is_builtin_estimator(self._estimator)
-        )
-        dirty = accumulator.drain_dirty()
-        if full:
-            self._probabilities = self._estimator.probabilities(counts)
-            self._sizes = counts.sum(axis=1).astype(float)
-            self._cache_version = accumulator.schema_version
-            return
-        if not dirty:
-            return
-        flat = np.ravel_multi_index(
-            tuple(np.array(axis) for axis in zip(*dirty)),
-            accumulator.group_shape,
-        )
-        sub = counts[flat]
-        self._probabilities[flat] = self._estimator.probabilities(sub)
-        self._sizes[flat] = sub.sum(axis=1)
-
     def epsilon(self) -> float:
         """Point epsilon of the current window (Equation 6/7 estimator).
 
         Identical to ``dataset_edf`` on the window's rows: the counts are
-        the same integers, the estimator rows are recomputed bitwise
-        equally, and the measurement is one
-        :func:`repro.core.batch.epsilon_batch` call.
+        the same integers, every group is re-estimated from them, and the
+        measurement is one :func:`repro.core.batch.epsilon_batch` call.
         """
-        if (
-            len(self._accumulator.outcome_levels) < 2
-            or self._accumulator.n_rows == 0
-        ):
+        outcomes = len(self._accumulator.outcome_levels)
+        if outcomes < 2 or self._accumulator.n_rows == 0:
             return 0.0
-        self._refresh_probabilities()
+        counts = self._accumulator.counts.reshape(-1, outcomes)
+        probabilities = self._estimator.probabilities(counts)
         return float(
             epsilon_batch(
-                self._probabilities[None, :, :], group_mass=self._sizes
+                probabilities[None, :, :],
+                group_mass=counts.sum(axis=1).astype(float),
             )[0]
         )
 
@@ -384,9 +340,6 @@ class StreamingAuditor:
             if counts.n_rows:
                 self._rows_seen += counts.n_rows
                 self._applied_seq += 1
-            self._probabilities = None
-            self._sizes = None
-            self._cache_version = -1
             return
         raise ValidationError(
             "windowed auditors cannot absorb unordered counts; windows need "
@@ -612,9 +565,6 @@ class StreamingAuditor:
         # checkpoints predate the write-ahead log, so there is no WAL
         # suffix for the cursor to gate.
         self._applied_seq = int(state.get("applied_seq", 0))
-        self._probabilities = None
-        self._sizes = None
-        self._cache_version = -1
         return self
 
     def __repr__(self) -> str:

@@ -56,14 +56,6 @@ object. :class:`StreamingContingency` itself normalises every new level
 the same way and refuses non-finite floats, unhashable cells and ``str``
 rows, but keeps other hashable values (a tuple level) for in-memory
 audits; the ``.rcpk`` checkpoint refuses those at save time.
-
-Dirty-cell tracking
--------------------
-The accumulator records which intersectional group cells changed since
-the last :meth:`drain_dirty` call, and bumps :attr:`schema_version`
-whenever an axis grows. :class:`repro.audit.stream.StreamingAuditor`
-uses this to keep a probability matrix current at O(touched cells) per
-update instead of re-estimating every group.
 """
 
 from __future__ import annotations
@@ -282,8 +274,6 @@ class StreamingContingency:
         self._outcome = _Axis(outcome_name, outcome_levels)
         self._counts = np.zeros(self._shape(), dtype=np.int64)
         self._n_rows = 0
-        self._dirty: set[tuple[int, ...]] = set()
-        self._schema_version = 0
         self._cells: dict[tuple[Any, ...], int] = {}
 
     # ------------------------------------------------------------------
@@ -318,15 +308,6 @@ class StreamingContingency:
         view.setflags(write=False)
         return view
 
-    @property
-    def group_shape(self) -> tuple[int, ...]:
-        return tuple(len(axis) for axis in self._factors)
-
-    @property
-    def schema_version(self) -> int:
-        """Bumped whenever an axis grows (caches keyed on layout must drop)."""
-        return self._schema_version
-
     def total(self) -> int:
         return int(self._counts.sum())
 
@@ -350,7 +331,6 @@ class StreamingContingency:
         pad = [(0, 0)] * self._counts.ndim
         pad[position] = (0, new_levels)
         self._counts = np.pad(self._counts, pad)
-        self._schema_version += 1
         # Growth changes the tensor's strides, so every cached flat
         # index is stale.
         self._cells.clear()
@@ -390,10 +370,9 @@ class StreamingContingency:
 
         Validates the row shapes, then (``grow=True``) collects every
         axis's new levels and checks pinned axes *before* growing any
-        axis, so a rejected batch leaves levels, shape and
-        :attr:`schema_version` untouched. Works column-at-a-time (one
-        transpose, then per-axis dictionary lookups) so a batch of k rows
-        costs O(k) with small constants.
+        axis, so a rejected batch leaves levels and shape untouched.
+        Works column-at-a-time (one transpose, then per-axis dictionary
+        lookups) so a batch of k rows costs O(k) with small constants.
         """
         axes = self._axes()
         rows = _row_tuples(rows, [axis.name for axis in axes])
@@ -451,11 +430,6 @@ class StreamingContingency:
             self._cells.update(zip(rows, flat.tolist()))
         return rows, flat
 
-    def _mark_dirty(self, flat: np.ndarray) -> None:
-        group_flat = np.unique(flat // len(self._outcome))
-        cells = np.unravel_index(group_flat, self.group_shape)
-        self._dirty.update(zip(*(axis.tolist() for axis in cells)))
-
     def update(self, rows: Iterable[Sequence[Any]]) -> "StreamingContingency":
         """Count rows in. Each row is ``(*factor values, outcome value)``.
 
@@ -479,7 +453,6 @@ class StreamingContingency:
             return self
         np.add.at(self._counts.reshape(-1), flat, 1)
         self._n_rows += len(rows)
-        self._mark_dirty(flat)
         return self
 
     def retract(self, rows: Iterable[Sequence[Any]]) -> "StreamingContingency":
@@ -500,15 +473,12 @@ class StreamingContingency:
             )
         np.subtract.at(counts, cells, removals)
         self._n_rows -= len(rows)
-        self._mark_dirty(flat)
         return self
 
     # ------------------------------------------------------------------
     # Table fast paths (vectorised: per-level lookups, not per-row)
     # ------------------------------------------------------------------
-    def _table_flat_indices(
-        self, table: Table, grow: bool
-    ) -> np.ndarray:
+    def _table_flat_indices(self, table: Table) -> np.ndarray:
         columns = [table.column(name) for name in self.factor_names]
         columns.append(table.column(self.outcome_name))
         for column in columns:
@@ -517,28 +487,19 @@ class StreamingContingency:
                     f"column {column.name!r} must be categorical for "
                     "streaming ingestion"
                 )
-        if grow:
-            for position, (axis, column) in enumerate(
-                zip(self._axes(), columns)
-            ):
-                before = len(axis)
-                for level in column.levels:
-                    if level not in axis.codes:
-                        axis.add_level(level)
-                if len(axis) > before:
-                    self._grow_axis(position, len(axis) - before)
+        for position, (axis, column) in enumerate(zip(self._axes(), columns)):
+            before = len(axis)
+            for level in column.levels:
+                if level not in axis.codes:
+                    axis.add_level(level)
+            if len(axis) > before:
+                self._grow_axis(position, len(axis) - before)
         shape = self._counts.shape
         flat = np.zeros(table.n_rows, dtype=np.int64)
         for position, (axis, column) in enumerate(zip(self._axes(), columns)):
-            try:
-                lut = np.array(
-                    [axis.codes[level] for level in column.levels],
-                    dtype=np.int64,
-                )
-            except KeyError as error:
-                raise ValidationError(
-                    f"{error.args[0]!r} is not a level of axis {axis.name!r}"
-                ) from None
+            lut = np.array(
+                [axis.codes[level] for level in column.levels], dtype=np.int64
+            )
             flat = flat * shape[position] + lut[column.codes]
         return flat
 
@@ -550,27 +511,9 @@ class StreamingContingency:
         """
         if table.n_rows == 0:
             return self
-        flat = self._table_flat_indices(table, grow=True)
+        flat = self._table_flat_indices(table)
         np.add.at(self._counts.reshape(-1), flat, 1)
         self._n_rows += table.n_rows
-        self._mark_dirty(flat)
-        return self
-
-    def retract_table(self, table: Table) -> "StreamingContingency":
-        """Vectorised :meth:`retract` from a table's categorical columns."""
-        if table.n_rows == 0:
-            return self
-        flat = self._table_flat_indices(table, grow=False)
-        cells, removals = np.unique(flat, return_counts=True)
-        counts = self._counts.reshape(-1)
-        if np.any(counts[cells] < removals):
-            raise ValidationError(
-                "retract would make a count negative: some rows were never "
-                "counted in"
-            )
-        np.subtract.at(counts, cells, removals)
-        self._n_rows -= table.n_rows
-        self._mark_dirty(flat)
         return self
 
     # ------------------------------------------------------------------
@@ -617,8 +560,6 @@ class StreamingContingency:
         result._outcome = merged_axes[-1]
         result._counts = np.zeros(result._shape(), dtype=np.int64)
         result._n_rows = self._n_rows + other._n_rows
-        result._dirty = set()
-        result._schema_version = 0
         result._cells = {}
         for source in (self, other):
             if source._counts.size == 0:
@@ -697,20 +638,9 @@ class StreamingContingency:
             raise ValidationError("checkpoint counts must be non-negative")
         result._counts = counts
         result._n_rows = int(state["n_rows"])
-        result._dirty = set()
-        result._schema_version = 0
         result._cells = {}
         return result
 
     def copy(self) -> "StreamingContingency":
-        """An independent copy (fresh dirty set and schema version)."""
+        """An independent copy."""
         return StreamingContingency.from_state(self.state_dict())
-
-    # ------------------------------------------------------------------
-    # Dirty-cell tracking
-    # ------------------------------------------------------------------
-    def drain_dirty(self) -> list[tuple[int, ...]]:
-        """Group cells (internal-order code tuples) touched since last drain."""
-        dirty = sorted(self._dirty)
-        self._dirty.clear()
-        return dirty

@@ -21,8 +21,8 @@ reproduction. It layers on the streaming/engine stack (PRs 3-4):
 * :mod:`repro.monitor.http` — the one HTTP layer under the service, the
   router, the client and the health probe;
 * :mod:`repro.monitor.wal` — the per-monitor write-ahead log that
-  makes every acked ``observe`` batch crash-durable (fsync-before-ack,
-  group commit, replay-on-restart past the newest checkpoint);
+  makes every acked ``observe`` batch crash-durable (one fsync per
+  append before the ack, replay-on-restart past the newest checkpoint);
 * :mod:`repro.monitor.client` / :mod:`repro.monitor.backoff` — the
   retrying HTTP client and the decorrelated-jitter backoff policy it
   uses to honour 429/503 backpressure;

@@ -30,16 +30,16 @@ records are all at or below the checkpointed sequence — the checkpoint
 
 Durability and degradation
 --------------------------
-Appends are group-committed: writes serialise under the write lock, and
-a single fsync under the sync lock covers every append written since
-the previous fsync, so concurrent producers amortise the disk flush
-(the "fsync batching" measured by ``benchmarks/bench_wal.py``). A
-failed append or fsync marks the log *degraded* and raises
-:class:`repro.exceptions.WalError`; while degraded, :meth:`admit`
+One lock serialises appends: each record is written, flushed and
+fsynced under it, so every acknowledged batch has its own fsync. (Its
+only caller, ``Monitor.observe``, holds the monitor's lock across the
+append, so no second append could share that fsync anyway.) A failed
+write or fsync truncates the record away, marks the log *degraded* and
+raises :class:`repro.exceptions.WalError`; while degraded, :meth:`admit`
 rejects batches fast (the service maps this to ``503`` +
 ``Retry-After``) and lets one probe append through per
 ``probe_interval`` seconds so a recovered disk heals the log without
-operator action.
+operator action. A slow fsync marks the log degraded too.
 
 All filesystem touch points go through a :class:`FileSystem` seam so
 the fault-injection harness (``tests/faults.py``) can fail, tear, or
@@ -64,11 +64,7 @@ from repro.monitor.store import (
     iter_segment_records,
     scan_segment,
 )
-from repro.obs.metrics import (
-    DEFAULT_SIZE_BOUNDARIES,
-    MetricsRegistry,
-    default_registry,
-)
+from repro.obs.metrics import MetricsRegistry, default_registry
 
 __all__ = [
     "FileSystem",
@@ -132,7 +128,7 @@ def _list_segments(directory: Path) -> list[Path]:
 
 
 class WriteAheadLog:
-    """Durable, group-committed, per-monitor ingestion log.
+    """Durable per-monitor ingestion log: one fsync per append.
 
     Parameters
     ----------
@@ -159,7 +155,7 @@ class WriteAheadLog:
         real one.
     metrics:
         The :class:`repro.obs.metrics.MetricsRegistry` that receives
-        append/fsync latency histograms, group-commit batch sizes, and
+        append/fsync latency histograms, append/fsync counters and
         degraded transitions; the process-global default when omitted.
     metric_labels:
         Label set stamped on every instrument this log records (the
@@ -193,19 +189,14 @@ class WriteAheadLog:
         self._probe_interval = float(probe_interval)
         self._stall_threshold = float(stall_threshold)
         self._fs = filesystem if filesystem is not None else REAL_FILESYSTEM
-        # Write lock serialises appends and rotation; sync lock covers
-        # the group-committed fsync. Ordering: write -> sync, never the
-        # reverse.
-        self._write_lock = threading.Lock()
-        self._sync_lock = threading.Lock()
+        # One lock: an append writes, fsyncs and rotates under it.
+        self._lock = threading.Lock()
         self._handle = None
-        self._write_token = 0  # increments per buffered append
-        self._synced_token = 0  # highest token known durable
         self._degraded_reason: str | None = None
         self._last_probe = float("-inf")
         self._appends = 0
         self._fsyncs = 0
-        # Offset a failed rollback still owes the active segment: the
+        # Offset a failed truncate still owes the active segment: the
         # next append truncates here before writing, so torn bytes from
         # a failed write can never be followed by valid records (the
         # reader would treat everything past the tear as lost).
@@ -220,18 +211,12 @@ class WriteAheadLog:
         self._metric_clock = registry.clock
         self._metric_append_seconds = registry.histogram(
             "repro_wal_append_seconds",
-            "Durable append latency (write + group-committed fsync wait).",
+            "Durable append latency (write + fsync).",
             labels=labels,
         )
         self._metric_fsync_seconds = registry.histogram(
             "repro_wal_fsync_seconds",
             "Latency of each actual fsync call on the active segment.",
-            labels=labels,
-        )
-        self._metric_group_commit = registry.histogram(
-            "repro_wal_group_commit_records",
-            "Buffered appends covered by each fsync (group-commit size).",
-            boundaries=DEFAULT_SIZE_BOUNDARIES,
             labels=labels,
         )
         self._metric_appends_total = registry.counter(
@@ -241,7 +226,7 @@ class WriteAheadLog:
         )
         self._metric_fsyncs_total = registry.counter(
             "repro_wal_fsyncs_total",
-            "Fsync calls issued by the group-commit path.",
+            "Fsync calls that made an appended record durable.",
             labels=labels,
         )
         self._metric_degraded = registry.gauge(
@@ -292,7 +277,7 @@ class WriteAheadLog:
     @property
     def last_seq(self) -> int:
         """Sequence number of the newest appended record (0 when empty)."""
-        with self._write_lock:
+        with self._lock:
             return self._next_seq - 1
 
     def align_seq(self, applied_seq: int) -> int:
@@ -311,7 +296,7 @@ class WriteAheadLog:
         invariant instead: the next append's sequence is always
         ``> applied_seq``. Returns the aligned next sequence number.
         """
-        with self._write_lock:
+        with self._lock:
             if self._next_seq <= int(applied_seq):
                 self._next_seq = int(applied_seq) + 1
             return self._next_seq
@@ -326,7 +311,7 @@ class WriteAheadLog:
 
     def status(self) -> dict[str, Any]:
         """Machine-readable health for ``/healthz`` and ``wal-inspect``."""
-        with self._write_lock:
+        with self._lock:
             return {
                 "directory": str(self._directory),
                 "last_seq": self._next_seq - 1,
@@ -351,7 +336,7 @@ class WriteAheadLog:
         if self._degraded_reason is None:
             return True
         now = float(self._clock())
-        with self._write_lock:
+        with self._lock:
             if now - self._last_probe >= self._probe_interval:
                 self._last_probe = now
                 return True
@@ -360,11 +345,14 @@ class WriteAheadLog:
     def append(self, record: dict[str, Any]) -> int:
         """Durably append one record; returns its assigned ``seq``.
 
-        The record is on disk (fsynced, under the group-commit policy)
-        when this returns — the precondition for acknowledging the
-        batch it carries. Raises :class:`repro.exceptions.WalError` on
-        any filesystem failure, after marking the log degraded; the
-        caller must *not* apply or acknowledge the batch in that case.
+        The record is on disk (fsynced) when this returns — the
+        precondition for acknowledging the batch it carries. Raises
+        :class:`repro.exceptions.WalError` on any filesystem failure,
+        after marking the log degraded; the caller must *not* apply or
+        acknowledge the batch in that case. The error's
+        ``indeterminate`` flag is set only when a failed fsync could not
+        be truncated away: the record may then be durable, so a retry
+        could be double-counted by a replay.
 
         The record must be strict JSON as it stands (no non-finite
         floats; ``Monitor.observe`` checks every cell with
@@ -380,7 +368,7 @@ class WriteAheadLog:
                     f"record field {reserved!r} is assigned by the WAL"
                 )
         append_started = self._metric_clock()
-        with self._write_lock:
+        with self._lock:
             seq = self._next_seq
             stamped = {"seq": seq, "ts": float(self._clock()), **record}
             try:
@@ -412,103 +400,74 @@ class WriteAheadLog:
             except OSError as error:
                 # Roll the (possibly partial) record back so the torn
                 # bytes are never followed by valid records.
-                self._truncate_locked(start)
+                self._truncate(start)
                 self._mark_degraded(f"WAL append failed: {error}")
                 raise WalError(
                     f"write-ahead log append failed: {error}; "
                     "the batch was not logged and is safe to retry"
                 ) from error
+            healthy = True
+            if self._fsync:
+                try:
+                    healthy = self._sync()
+                except OSError as error:
+                    # Written but not known durable: the caller must not
+                    # ack. The sequence counter has not advanced, so once
+                    # the record is truncated away a retry is clean.
+                    rolled_back = self._truncate(start)
+                    self._mark_degraded(f"WAL fsync failed: {error}")
+                    detail = (
+                        "the batch was rolled back and is safe to retry"
+                        if rolled_back
+                        else (
+                            "durability of the batch is indeterminate; a "
+                            "crash may replay it, so do not retry"
+                        )
+                    )
+                    raise WalError(
+                        f"write-ahead log fsync failed: {error}; {detail}",
+                        indeterminate=not rolled_back,
+                    ) from error
             self._next_seq += 1
             self._appends += 1
             self._metric_appends_total.inc()
-            self._write_token += 1
-            token = self._write_token
-            handle = self._handle
-            active = self._active
-            rotate = size >= self._segment_bytes
-        healthy = True
-        try:
-            if self._fsync:
-                healthy = self._commit(token, handle)
-        except OSError as error:
-            # The record is written but not known durable: the caller
-            # must not ack. Roll it back (truncate + restore the
-            # sequence counter) so a retry cannot double-count against
-            # a replay of this record — possible only when no later
-            # append piggybacked on this segment in the meantime.
-            rolled_back = self._rollback_commit(token, seq, start, active)
-            self._mark_degraded(f"WAL fsync failed: {error}")
-            detail = (
-                "the batch was rolled back and is safe to retry"
-                if rolled_back
-                else (
-                    "durability of the batch is indeterminate; a crash "
-                    "may replay it, so do not retry"
-                )
-            )
-            raise WalError(
-                f"write-ahead log fsync failed: {error}; {detail}",
-                indeterminate=not rolled_back,
-            ) from error
-        if rotate:
-            try:
-                self._rotate(active)
-            except WalError:
-                # The record is already durable (the ack contract is
-                # met); rotation retries naturally on the next append
-                # while admit() sheds load for the degraded disk.
-                self._metric_append_seconds.observe(
-                    self._metric_clock() - append_started
-                )
-                return seq
-        if healthy:
-            self._clear_degraded()
+            # A failed rotation leaves the record durable (the ack
+            # contract is met); it retries on the next append while
+            # admit() sheds load for the degraded disk.
+            if size >= self._segment_bytes and not self._rotate():
+                healthy = False
+            if healthy:
+                self._clear_degraded()
         self._metric_append_seconds.observe(
             self._metric_clock() - append_started
         )
         return seq
 
-    def _commit(self, token: int, handle) -> bool:
-        """Group commit: one fsync covers every append up to ``token``.
+    def _sync(self) -> bool:
+        """Fsync the active segment (lock held).
 
-        Appends serialise under the write lock, so by the time a thread
-        reaches here its bytes — and possibly later threads' bytes —
-        are in the OS buffer. The first thread into the sync lock
-        fsyncs for everyone buffered so far; followers whose token is
-        already covered return without touching the disk.
-
-        Returns whether this call produced fresh evidence of a healthy
-        disk (a fast, successful fsync by this thread). Followers return
-        ``False`` — they observed nothing — so only an actual probe
-        fsync can clear a stall-degraded flag.
+        Returns whether the disk looked healthy: ``False`` when the
+        fsync succeeded but took longer than ``stall_threshold``, which
+        marks the log degraded.
         """
-        if self._synced_token >= token:
+        started = time.monotonic()
+        self._fs.fsync(self._handle)
+        elapsed = time.monotonic() - started
+        self._fsyncs += 1
+        self._metric_fsyncs_total.inc()
+        self._metric_fsync_seconds.observe(elapsed)
+        if elapsed > self._stall_threshold:
+            self._mark_degraded(
+                f"WAL fsync stalled: {elapsed:.2f}s > "
+                f"{self._stall_threshold:.2f}s threshold"
+            )
             return False
-        with self._sync_lock:
-            if self._synced_token >= token:
-                return False
-            covered = self._write_token
-            batched = covered - self._synced_token
-            started = time.monotonic()
-            self._fs.fsync(handle)
-            elapsed = time.monotonic() - started
-            self._fsyncs += 1
-            self._synced_token = covered
-            self._metric_fsyncs_total.inc()
-            self._metric_fsync_seconds.observe(elapsed)
-            self._metric_group_commit.observe(batched)
-            if elapsed > self._stall_threshold:
-                self._mark_degraded(
-                    f"WAL fsync stalled: {elapsed:.2f}s > "
-                    f"{self._stall_threshold:.2f}s threshold"
-                )
-                return False
-            return True
+        return True
 
-    def _truncate_locked(self, start: int) -> None:
-        """Best-effort truncate of the active segment back to ``start``.
+    def _truncate(self, start: int) -> bool:
+        """Truncate the active segment back to ``start`` (lock held).
 
-        Caller holds the write lock. On failure the offset is remembered
+        Returns whether that worked. On failure the offset is remembered
         and retried before the next append's write, keeping the
         invariant that valid records never follow torn bytes.
         """
@@ -516,68 +475,33 @@ class WriteAheadLog:
             self._handle.truncate(start)
         except OSError:
             self._pending_truncate = start
+            return False
+        return True
 
-    def _rollback_commit(
-        self, token: int, seq: int, start: int, active: Path
-    ) -> bool:
-        """Undo an append whose fsync failed, when still possible.
+    def _rotate(self) -> bool:
+        """Seal the active segment and open its successor (lock held).
 
-        Possible only while the record is the newest write to the still
-        active segment; then truncating it and restoring the sequence
-        counter makes the failure clean — the batch is provably not
-        durable, so the caller may retry without risking a replay
-        double-count. Returns whether the rollback fully succeeded.
+        Sealing needs no fsync of its own: with ``fsync`` on, every
+        append fsyncs its record under the lock before it gets here.
+        Returns ``False``
+        when rotation fails; the segment then stays active (and is never
+        marked sealed, so trim cannot touch it) and the next append
+        retries.
         """
-        with self._write_lock, self._sync_lock:
-            if (
-                self._write_token != token
-                or self._active is not active
-                or self._handle is None
-            ):
-                return False
-            truncated = True
-            try:
-                self._handle.truncate(start)
-            except OSError:
-                self._pending_truncate = start
-                truncated = False
-            self._next_seq = seq
-            self._write_token = token - 1
-            self._appends -= 1
-            if self._synced_token > self._write_token:
-                self._synced_token = self._write_token
-            return truncated
-
-    def _rotate(self, segment: Path) -> None:
-        with self._write_lock, self._sync_lock:
-            if self._active is not segment:
-                return  # another thread rotated this segment already
-            # Appends serialise under the write lock, so every record
-            # written to this segment — including ones appended after
-            # the triggering thread released the lock — has a sequence
-            # number at most the current counter.
-            last_seq = self._next_seq - 1
-            try:
-                if self._handle is not None:
-                    if self._fsync:
-                        self._fs.fsync(self._handle)
-                    self._handle.close()
-                    self._handle = None
-                successor = create_segment(
-                    self._directory
-                    / _segment_name(_segment_index(segment) + 1),
-                    filesystem=self._fs,
-                )
-            except OSError as error:
-                # The segment stays active (and is never marked sealed,
-                # so trim cannot touch it); the next append retries.
-                self._mark_degraded(f"WAL rotation failed: {error}")
-                raise WalError(
-                    f"write-ahead log rotation failed: {error}"
-                ) from error
-            self._synced_token = self._write_token
-            self._sealed_last_seq[segment] = last_seq
-            self._active = successor
+        segment = self._active
+        handle, self._handle = self._handle, None
+        try:
+            handle.close()
+            successor = create_segment(
+                self._directory / _segment_name(_segment_index(segment) + 1),
+                filesystem=self._fs,
+            )
+        except OSError as error:
+            self._mark_degraded(f"WAL rotation failed: {error}")
+            return False
+        self._sealed_last_seq[segment] = self._next_seq - 1
+        self._active = successor
+        return True
 
     def _mark_degraded(self, reason: str) -> None:
         if self._degraded_reason is None:
@@ -597,7 +521,7 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     def records(self, *, since: int = 0) -> Iterator[dict[str, Any]]:
         """Records with ``seq > since``, oldest first (the replay path)."""
-        with self._write_lock:
+        with self._lock:
             if self._handle is not None:
                 self._handle.flush()
             segments = _list_segments(self._directory)
@@ -616,7 +540,7 @@ class WriteAheadLog:
         the removed paths.
         """
         removed: list[Path] = []
-        with self._write_lock:
+        with self._lock:
             for path, last_seq in sorted(
                 self._sealed_last_seq.items(), key=lambda item: item[1]
             ):
@@ -628,7 +552,7 @@ class WriteAheadLog:
         return removed
 
     def close(self) -> None:
-        with self._write_lock, self._sync_lock:
+        with self._lock:
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None

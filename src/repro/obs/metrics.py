@@ -50,7 +50,6 @@ from repro.exceptions import ValidationError
 
 __all__ = [
     "DEFAULT_LATENCY_BOUNDARIES",
-    "DEFAULT_SIZE_BOUNDARIES",
     "PROMETHEUS_CONTENT_TYPE",
     "Counter",
     "Gauge",
@@ -85,22 +84,6 @@ DEFAULT_LATENCY_BOUNDARIES: tuple[float, ...] = (
     1.0,
     2.5,
     5.0,
-)
-
-# Size/count buckets: group-commit batch sizes, occupancy, record counts.
-DEFAULT_SIZE_BOUNDARIES: tuple[float, ...] = (
-    1.0,
-    2.0,
-    5.0,
-    10.0,
-    25.0,
-    50.0,
-    100.0,
-    250.0,
-    500.0,
-    1000.0,
-    2500.0,
-    5000.0,
 )
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")

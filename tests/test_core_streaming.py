@@ -131,13 +131,6 @@ class TestTableFastPath:
             by_table.snapshot().counts, by_rows.snapshot().counts
         )
 
-    def test_retract_table_inverts_update_table(self, hiring_table):
-        accumulator = StreamingContingency(["gender", "race"], "hired")
-        accumulator.update_table(hiring_table)
-        accumulator.retract_table(hiring_table)
-        assert accumulator.snapshot().counts.sum() == 0
-        assert accumulator.n_rows == 0
-
     def test_non_categorical_column_raises(self, numeric_table):
         accumulator = StreamingContingency(["x"], "group")
         with pytest.raises(SchemaError):
@@ -224,31 +217,6 @@ class TestCheckpoint:
         assert duplicate.snapshot().factor_levels == [("B", "A")]
         with pytest.raises(ValidationError):
             duplicate.update([("C", "yes")])
-
-
-class TestDirtyTracking:
-    def test_drain_reports_touched_cells_once(self):
-        accumulator = StreamingContingency(["gender", "race"], "hired")
-        accumulator.update([("A", "X", "yes"), ("A", "X", "no"), ("B", "Y", "no")])
-        dirty = accumulator.drain_dirty()
-        assert sorted(dirty) == [(0, 0), (1, 1)]
-        assert accumulator.drain_dirty() == []
-
-    def test_retract_marks_dirty(self):
-        accumulator = StreamingContingency(["gender"], "hired")
-        accumulator.update([("A", "yes"), ("B", "no")])
-        accumulator.drain_dirty()
-        accumulator.retract([("B", "no")])
-        assert accumulator.drain_dirty() == [(1,)]
-
-    def test_schema_version_bumps_on_growth_only(self):
-        accumulator = StreamingContingency(["gender"], "hired")
-        version = accumulator.schema_version
-        accumulator.update([("A", "yes")])
-        grown = accumulator.schema_version
-        assert grown > version
-        accumulator.update([("A", "yes")])
-        assert accumulator.schema_version == grown
 
 
 class TestConstructorValidation:

@@ -2,7 +2,7 @@
 
 The unit half pins the WAL's contract: dense sequence numbers, reopen
 continuity, torn-tail recovery, size rotation, checkpoint-driven trim,
-group-committed fsyncs, the degraded/probe admission cycle, and — the
+one fsync per append, the degraded/probe admission cycle, and — the
 subtle part — *rollback*: a failed write or fsync must leave the log
 exactly as if the append never happened, or a client retry plus a
 restart replay would double-count the batch.
@@ -18,6 +18,7 @@ same apply cursor, and a history with every batch exactly once.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -155,9 +156,10 @@ class TestWriteAheadLog:
         assert reopened.append({"rows": [[5]]}) == 6
         reopened.close()
 
-    def test_group_commit_batches_fsyncs(self, tmp_path):
-        # A slowed fsync makes producers pile up behind the sync lock,
-        # so one leader's fsync covers every follower buffered meanwhile.
+    def test_concurrent_appends_fsync_every_record(self, tmp_path):
+        # A slowed fsync and a short switch interval make producers pile
+        # up behind the append lock; each record still gets its own
+        # fsync before its append returns, and seqs stay dense.
         filesystem = FaultyFileSystem()
         filesystem.fsync_delay = 0.005
         wal = WriteAheadLog(tmp_path, filesystem=filesystem)
@@ -172,13 +174,18 @@ class TestWriteAheadLog:
         workers = [
             threading.Thread(target=produce, args=(w,)) for w in range(threads)
         ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
         status = wal.status()
-        assert status["appends"] == threads * per_thread
-        assert status["fsyncs"] < status["appends"]
+        assert status["appends"] == status["fsyncs"] == threads * per_thread
         seqs = [r["seq"] for r in wal.records()]
         assert seqs == list(range(1, threads * per_thread + 1))
         wal.close()

@@ -73,7 +73,7 @@ def series_value(registry, family: str, **labels):
 
 
 class TestWalTelemetry:
-    def test_append_fsync_and_group_commit_counts(self, tmp_path):
+    def test_append_and_fsync_counts(self, tmp_path):
         registry = MetricsRegistry()
         wal = WriteAheadLog(
             tmp_path / "wal", metrics=registry, metric_labels={"monitor": "m"}
@@ -83,18 +83,29 @@ class TestWalTelemetry:
         wal.close()
         labels = {"monitor": "m"}
         assert series_value(registry, "repro_wal_appends_total", **labels) == 3
-        fsyncs = series_value(registry, "repro_wal_fsyncs_total", **labels)
-        assert 1 <= fsyncs <= 3
+        assert series_value(registry, "repro_wal_fsyncs_total", **labels) == 3
         assert (
             series_value(registry, "repro_wal_append_seconds", **labels) == 3
         )
-        # one group-commit observation per fsync, covering all 3 appends
-        commits = registry.state_dict()["families"][
-            "repro_wal_group_commit_records"
-        ]["series"][0]
-        assert commits["count"] == fsyncs
-        assert commits["sum"] == 3
         assert series_value(registry, "repro_wal_degraded", **labels) == 0
+
+    def test_rolled_back_append_is_not_counted(self, tmp_path):
+        # fsync #1 seals the new segment header; #2 is the first append.
+        # Its record is truncated away and the append is safe to retry,
+        # so the counter must not keep it (a retry would count twice).
+        filesystem = FaultyFileSystem()
+        filesystem.fail_fsync_at = {2}
+        registry = MetricsRegistry()
+        wal = WriteAheadLog(
+            tmp_path / "wal", filesystem=filesystem, metrics=registry
+        )
+        with pytest.raises(WalError) as excinfo:
+            wal.append({"rows": [["a", "b", "y"]]})
+        assert excinfo.value.indeterminate is False
+        assert wal.status()["appends"] == 0
+        assert list(wal.records()) == []
+        assert series_value(registry, "repro_wal_appends_total") == 0
+        wal.close()
 
     def test_degraded_transitions_are_counted(self, tmp_path):
         filesystem = FaultyFileSystem()
