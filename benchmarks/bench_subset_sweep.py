@@ -43,6 +43,8 @@ from repro.core.subsets import all_nonempty_subsets, subset_sweep
 from repro.core.sweep import posterior_subset_sweep
 from repro.tabular.crosstab import ContingencyTable
 
+pytestmark = pytest.mark.perf
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RECORD_PATH = REPO_ROOT / "BENCH_subset_sweep.json"
 

@@ -24,7 +24,6 @@ from repro.core.analytic import (
 from repro.core.batch import (
     epsilon_batch,
     per_outcome_epsilon_batch,
-    stack_padded,
     witness_batch,
 )
 from repro.core.bayesian import (
@@ -141,7 +140,6 @@ __all__ = [
     "privacy_violations",
     "register_metric",
     "registered_metrics",
-    "stack_padded",
     "subset_sweep",
     "summarize_epsilon_samples",
     "sweep_results",

@@ -9,23 +9,27 @@ batched kernel (:mod:`repro.core.batch`), the 2^p - 1 sweep lattice
 module closes that gap with a single contract:
 
     a **fairness metric** is a named, batched function of per-group
-    count matrices — ``kernel(counts)`` maps a ``(..., G, O)`` stack of
-    group x outcome counts to ``(...)`` metric values.
+    count matrices — ``kernel(counts, starts)`` maps a ``(rows, O)``
+    matrix of group x outcome counts, cut into slices at the first rows
+    ``starts`` (the segment layout of :mod:`repro.core.batch`, whose
+    :func:`~repro.core.batch.segment_extrema` gives per-slice extrema), to
+    one value per slice.
 
-Count matrices are exactly the tensors
+Calling a metric, :func:`metric_values` or a ``*_counts`` function on a
+``(G, O)`` matrix or ``(..., G, O)`` stack takes one slice per matrix
+and returns ``(...)`` values. Count matrices are exactly the tensors
 :class:`repro.core.streaming.StreamingContingency` maintains and
 :func:`repro.core.sweep.marginal_count_lattice` marginalises, so any
 registered metric is automatically available per attribute subset (one
-stacked-kernel pass for the full sweep), per streaming window, and as a
+kernel call over all subsets' groups), per streaming window, and as a
 :class:`repro.monitor.rules.MetricThresholdRule` alert condition.
 
-Conventions (shared with :func:`repro.core.batch.witness_batch`):
+Conventions (shared with :func:`repro.core.batch.segment_witness`):
 
 * the **positive** outcome is the last column (``outcome_levels[-1]``,
   the repo-wide default of ``audit_classifier`` and ``markdown_report``);
-* an all-NaN row marks a padded group (:func:`repro.core.batch.stack_padded`)
-  and a zero-total row an unobserved one — both are excluded, matching
-  the ``P(s) = 0`` exclusion of Definition 3.1;
+* a row with NaN counts or a zero total marks an unobserved group, which
+  is excluded, matching the ``P(s) = 0`` exclusion of Definition 3.1;
 * a slice with fewer than two populated groups has no pairwise
   comparison, so comparison metrics yield NaN there (the row-level
   adapters in :mod:`repro.metrics` raise
@@ -56,9 +60,10 @@ Built-in metrics (all registered; see :func:`registered_metrics`):
 
 Register your own with :func:`register_metric`::
 
-    def _gap_squared(counts):
-        rates, _ = positive_rate_stack(counts)  # NaN marks excluded groups
-        return (np.nanmax(rates, axis=-1) - np.nanmin(rates, axis=-1)) ** 2
+    def _gap_squared(counts, starts):
+        rates, mass = positive_rate_stack(counts)  # one rate per group row
+        high, low, _ = segment_extrema(rates, mass > 0, starts)  # per slice
+        return (high - low) ** 2
 
     register_metric(FairnessMetric(
         name="gap_squared",
@@ -72,12 +77,14 @@ can address it by name.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
+from repro.core.batch import segment_extrema, segment_reduce, segment_sum
 from repro.exceptions import ValidationError
 
 __all__ = [
@@ -115,7 +122,7 @@ def _as_counts(counts: Any) -> np.ndarray:
         )
     if counts.shape[-1] < 2:
         raise ValidationError("at least two outcome columns are required")
-    if np.any(counts < 0):
+    if (counts < 0).any():
         raise ValidationError("counts must be non-negative")
     return counts
 
@@ -124,8 +131,8 @@ def outcome_rate_stack(counts: Any) -> tuple[np.ndarray, np.ndarray]:
     """Per-group outcome rates ``counts / row totals`` plus the totals.
 
     ``counts`` is ``(..., G, O)``; returns ``(rates, mass)`` with shapes
-    ``(..., G, O)`` and ``(..., G)``. Excluded groups — NaN-padded rows
-    and zero-total rows — carry ``mass == 0`` and all-NaN rates. The
+    ``(..., G, O)`` and ``(..., G)``. Excluded groups — rows with NaN
+    counts and zero-total rows — carry ``mass == 0`` and all-NaN rates. The
     division is the single IEEE operation ``count / total``, so rates
     from integer counts are bit-identical to ``flags[mask].mean()`` on
     the underlying rows (0/1 sums are exact).
@@ -135,7 +142,8 @@ def outcome_rate_stack(counts: Any) -> tuple[np.ndarray, np.ndarray]:
     mass = np.where(np.isnan(mass), 0.0, mass)
     with np.errstate(divide="ignore", invalid="ignore"):
         rates = counts / mass[..., None]
-    return np.where((mass == 0.0)[..., None], np.nan, rates), mass
+    rates[mass == 0.0] = np.nan
+    return rates, mass
 
 
 def positive_rate_stack(counts: Any) -> tuple[np.ndarray, np.ndarray]:
@@ -149,36 +157,49 @@ def positive_rate_stack(counts: Any) -> tuple[np.ndarray, np.ndarray]:
     return rates[..., -1], mass
 
 
-def _group_extrema(
-    values: np.ndarray, populated: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Max/min of ``values`` over populated groups; NaN where fewer than
-    two groups are populated (no pairwise comparison exists)."""
-    few = populated.sum(axis=-1) < 2
-    high = np.where(populated, values, -np.inf).max(axis=-1)
-    low = np.where(populated, values, np.inf).min(axis=-1)
-    return np.where(few, np.nan, high), np.where(few, np.nan, low)
+def _per_matrix(kernel: Callable, counts: Any, *args: Any) -> np.ndarray:
+    """``kernel`` on a ``(G, O)`` matrix or ``(..., G, O)`` stack, one
+    slice per matrix: values shaped like the stack's leading axes."""
+    counts = _as_counts(counts)
+    *lead, n_groups, n_outcomes = counts.shape
+    starts = np.arange(math.prod(lead)) * n_groups
+    rows = counts.reshape(-1, n_outcomes)
+    return np.asarray(kernel(rows, starts, *args)).reshape(lead)
+
+
+def _rate_extrema(counts, starts, column: Any = -1):
+    """Per-slice extrema of the outcome rates in ``column`` (the positive
+    outcome by default; ``slice(None)`` for every outcome)."""
+    rates, mass = outcome_rate_stack(counts)
+    high, low, _ = segment_extrema(rates[:, column], mass > 0, starts)
+    return high, low
 
 
 # ----------------------------------------------------------------------
 # Count kernels: Section 7 baselines
 # ----------------------------------------------------------------------
+def _dp_difference(counts, starts):
+    high, low = _rate_extrema(counts, starts)
+    return high - low
+
+
 def demographic_parity_difference_counts(counts: Any) -> np.ndarray:
     """Max pairwise positive-rate gap per slice (0 = parity, NaN = < 2 groups)."""
-    rates, mass = positive_rate_stack(counts)
-    high, low = _group_extrema(rates, mass > 0)
-    return high - low
+    return _per_matrix(_dp_difference, counts)
+
+
+def _dp_ratio(counts, starts):
+    high, low = _rate_extrema(counts, starts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = low / high
+    return np.where(high == 0.0, 1.0, ratio)
 
 
 def demographic_parity_ratio_counts(counts: Any) -> np.ndarray:
     """Min-over-max positive-rate ratio per slice (1 = parity; the EEOC
     "80% rule" flags values below 0.8). All rates zero gives 1 by the
     row-level convention (perfectly equal); NaN marks < 2 groups."""
-    rates, mass = positive_rate_stack(counts)
-    high, low = _group_extrema(rates, mass > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = low / high
-    return np.where(high == 0.0, 1.0, ratio)
+    return _per_matrix(_dp_ratio, counts)
 
 
 def _one_sided_log_ratio(high: np.ndarray, low: np.ndarray) -> np.ndarray:
@@ -189,13 +210,8 @@ def _one_sided_log_ratio(high: np.ndarray, low: np.ndarray) -> np.ndarray:
     return np.where(high == 0.0, np.nan, epsilon)
 
 
-def demographic_parity_epsilon_counts(counts: Any) -> np.ndarray:
-    """The differential-fairness view of the positive rates: max |log
-    ratio| over both the positive and the complementary outcome. Infinite
-    when one group never (or always) receives the positive outcome while
-    another sometimes does (or does not); NaN marks < 2 groups."""
-    rates, mass = positive_rate_stack(counts)
-    high, low = _group_extrema(rates, mass > 0)
+def _dp_epsilon(counts, starts):
+    high, low = _rate_extrema(counts, starts)
     # max(1 - r) = 1 - min(r) holds bitwise: x -> 1 - x is one rounded,
     # monotone subtraction, so the extrema commute with it.
     positive_side = _one_sided_log_ratio(high, low)
@@ -205,39 +221,60 @@ def demographic_parity_epsilon_counts(counts: Any) -> np.ndarray:
     return np.where(np.isnan(high), np.nan, epsilon)
 
 
+def demographic_parity_epsilon_counts(counts: Any) -> np.ndarray:
+    """The differential-fairness view of the positive rates: max |log
+    ratio| over both the positive and the complementary outcome. Infinite
+    when one group never (or always) receives the positive outcome while
+    another sometimes does (or does not); NaN marks < 2 groups."""
+    return _per_matrix(_dp_epsilon, counts)
+
+
+def _subgroup_violation(counts, starts):
+    rates, mass = positive_rate_stack(counts)
+    populated = mass > 0
+    owner = np.repeat(np.arange(len(starts)), np.diff([*starts, len(mass)]))
+    total = segment_sum(mass, starts)
+    positive_total = segment_sum(
+        np.where(populated, np.nan_to_num(counts[:, -1]), 0.0), starts
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        base = positive_total / total
+        weight = mass / total[owner]
+    violation = weight * np.abs(rates - base[owner])
+    worst = segment_reduce(
+        np.maximum, np.where(populated, violation, -np.inf), starts
+    )
+    return np.where(total == 0.0, np.nan, worst)
+
+
 def subgroup_violation_counts(counts: Any) -> np.ndarray:
     """Kearns et al.: the worst mass-weighted statistical-parity violation
     ``max_g P(g) * |P(positive | g) - P(positive)|`` over the slice's
     groups. Defined for any populated slice (a single group trivially
     matches the base rate); NaN only when the slice is empty."""
-    counts = _as_counts(counts)
-    rates, mass = positive_rate_stack(counts)
-    populated = mass > 0
-    total = mass.sum(axis=-1)
-    positive_total = np.where(
-        populated, np.nan_to_num(counts[..., -1]), 0.0
-    ).sum(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        base = positive_total / total
-        weight = mass / total[..., None]
-    violation = weight * np.abs(rates - base[..., None])
-    worst = np.where(populated, violation, -np.inf).max(axis=-1)
-    return np.where(total == 0.0, np.nan, worst)
+    return _per_matrix(_subgroup_violation, counts)
 
 
 # ----------------------------------------------------------------------
 # Count kernels: the PAPERS.md backends
 # ----------------------------------------------------------------------
+def _worst_case_gap(counts, starts):
+    high, low = _rate_extrema(counts, starts, slice(None))
+    return (high - low).max(axis=-1)
+
+
 def worst_case_gap_counts(counts: Any) -> np.ndarray:
     """Ghosh et al. 2021: the worst-case intersectional comparison in
     difference form — the max over *all* outcomes of the max pairwise
     gap in that outcome's group-conditional rates. NaN marks < 2 groups."""
-    rates, mass = outcome_rate_stack(counts)
-    populated = (mass > 0)[..., None]
-    few = (mass > 0).sum(axis=-1) < 2
-    high = np.where(populated, rates, -np.inf).max(axis=-2)
-    low = np.where(populated, rates, np.inf).min(axis=-2)
-    return np.where(few, np.nan, (high - low).max(axis=-1))
+    return _per_matrix(_worst_case_gap, counts)
+
+
+def _worst_case_ratio(counts, starts):
+    high, low = _rate_extrema(counts, starts, slice(None))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(high == 0.0, 1.0, low / high)
+    return ratio.min(axis=-1)
 
 
 def worst_case_ratio_counts(counts: Any) -> np.ndarray:
@@ -245,17 +282,18 @@ def worst_case_ratio_counts(counts: Any) -> np.ndarray:
     min-over-max ratio of that outcome's group-conditional rates (1 =
     parity; an outcome nobody receives is vacuously 1, as in the
     demographic-parity ratio). NaN marks < 2 groups."""
-    rates, mass = outcome_rate_stack(counts)
-    populated = (mass > 0)[..., None]
-    few = (mass > 0).sum(axis=-1) < 2
-    high = np.where(populated, rates, -np.inf).max(axis=-2)
-    low = np.where(populated, rates, np.inf).min(axis=-2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(high == 0.0, 1.0, low / high)
-    return np.where(few, np.nan, ratio.min(axis=-1))
+    return _per_matrix(_worst_case_ratio, counts)
 
 
 DEFAULT_LEVELING_ALPHA = 0.5
+
+
+def _alpha_intersectional(counts, starts, alpha=DEFAULT_LEVELING_ALPHA):
+    alpha = float(alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
+    high, low = _rate_extrema(counts, starts)
+    return alpha * (high - low) + (1.0 - alpha) * (1.0 - low)
 
 
 def alpha_intersectional_counts(
@@ -275,12 +313,7 @@ def alpha_intersectional_counts(
     mechanism cannot look fairer by making everyone worse off. NaN marks
     < 2 groups.
     """
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
-    rates, mass = positive_rate_stack(counts)
-    high, low = _group_extrema(rates, mass > 0)
-    return alpha * (high - low) + (1.0 - alpha) * (1.0 - low)
+    return _per_matrix(_alpha_intersectional, counts, alpha)
 
 
 # ----------------------------------------------------------------------
@@ -386,15 +419,17 @@ def group_outcome_counts(
 class FairnessMetric:
     """A named, batched fairness metric over group x outcome counts.
 
-    ``kernel`` maps a ``(..., G, O)`` count stack to ``(...)`` values,
-    following this module's exclusion conventions. ``higher_is_unfair``
+    ``kernel(counts, starts)`` maps a ``(rows, O)`` count matrix cut into
+    slices at the first rows ``starts`` to one value per slice, following
+    this module's exclusion conventions; calling the metric applies it to
+    a ``(G, O)`` matrix or ``(..., G, O)`` stack. ``higher_is_unfair``
     records the metric's polarity (False for ratio-style metrics where
     *low* values flag unfairness, e.g. the 80% rule) so alert rules and
     renderers can interpret thresholds without per-metric special cases.
     """
 
     name: str
-    kernel: Callable[[np.ndarray], np.ndarray]
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
     description: str
     higher_is_unfair: bool = True
 
@@ -405,7 +440,7 @@ class FairnessMetric:
             raise ValidationError("a metric kernel must be callable")
 
     def __call__(self, counts: Any) -> np.ndarray:
-        return self.kernel(counts)
+        return _per_matrix(self.kernel, counts)
 
 
 _REGISTRY: dict[str, FairnessMetric] = {}
@@ -465,49 +500,49 @@ def registered_metrics() -> tuple[str, ...]:
 def metric_values(
     counts: Any, metrics: Iterable[str] | None = None
 ) -> dict[str, np.ndarray]:
-    """Evaluate named metrics (default: every registered one) on a count
-    stack, returning ``{name: values}`` with one kernel pass per metric."""
-    counts = _as_counts(counts)
+    """Evaluate named metrics (default: every registered one) on a
+    ``(G, O)`` count matrix or ``(..., G, O)`` stack, returning
+    ``{name: values}`` with one kernel pass per metric."""
     names = registered_metrics() if metrics is None else tuple(metrics)
-    return {name: get_metric(name).kernel(counts) for name in names}
+    return {name: get_metric(name)(counts) for name in names}
 
 
 for _metric in (
     FairnessMetric(
         name="demographic_parity_difference",
-        kernel=demographic_parity_difference_counts,
+        kernel=_dp_difference,
         description="max pairwise gap in P(positive | group); 0 = parity",
     ),
     FairnessMetric(
         name="demographic_parity_ratio",
-        kernel=demographic_parity_ratio_counts,
+        kernel=_dp_ratio,
         description="min/max ratio of P(positive | group); the 80% rule",
         higher_is_unfair=False,
     ),
     FairnessMetric(
         name="demographic_parity_epsilon",
-        kernel=demographic_parity_epsilon_counts,
+        kernel=_dp_epsilon,
         description="max |log ratio| of the positive rates, both outcomes",
     ),
     FairnessMetric(
         name="subgroup_fairness",
-        kernel=subgroup_violation_counts,
+        kernel=_subgroup_violation,
         description="Kearns et al.: worst mass-weighted parity violation",
     ),
     FairnessMetric(
         name="worst_case_gap",
-        kernel=worst_case_gap_counts,
+        kernel=_worst_case_gap,
         description="Ghosh et al.: worst rate gap over every outcome",
     ),
     FairnessMetric(
         name="worst_case_ratio",
-        kernel=worst_case_ratio_counts,
+        kernel=_worst_case_ratio,
         description="Ghosh et al.: worst min/max rate ratio over outcomes",
         higher_is_unfair=False,
     ),
     FairnessMetric(
         name="alpha_intersectional",
-        kernel=alpha_intersectional_counts,
+        kernel=_alpha_intersectional,
         description=(
             "Maheshwari et al.: leveling-down-resistant gap/shortfall "
             f"blend (alpha={DEFAULT_LEVELING_ALPHA:g})"

@@ -487,13 +487,21 @@ class StreamingContingency:
                     f"column {column.name!r} must be categorical for "
                     "streaming ingestion"
                 )
-        for position, (axis, column) in enumerate(zip(self._axes(), columns)):
-            before = len(axis)
-            for level in column.levels:
-                if level not in axis.codes:
+        # Check every axis's new levels before growing any, as
+        # _flat_indices does: a chunk a pinned axis rejects leaves the
+        # levels and the count tensor untouched.
+        additions = [
+            [level for level in column.levels if level not in axis.codes]
+            for axis, column in zip(self._axes(), columns)
+        ]
+        for axis, new in zip(self._axes(), additions):
+            if new:
+                axis.require_dynamic(new[0])
+        for position, (axis, new) in enumerate(zip(self._axes(), additions)):
+            if new:
+                for level in new:
                     axis.add_level(level)
-            if len(axis) > before:
-                self._grow_axis(position, len(axis) - before)
+                self._grow_axis(position, len(new))
         shape = self._counts.shape
         flat = np.zeros(table.n_rows, dtype=np.int64)
         for position, (axis, column) in enumerate(zip(self._axes(), columns)):

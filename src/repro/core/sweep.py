@@ -11,11 +11,11 @@ and Monte Carlo runs. This module does the entire sweep in one pass:
   derived from the single intersectional tensor through a memoized lattice
   (:func:`marginal_count_lattice`): every subset is one axis-sum away from
   an already-computed parent, never re-reduced from the root.
-* **One kernel call for point epsilons** — the subsets' probability
-  matrices are NaN-padded into one ``(n_subsets, max_groups, n_outcomes)``
-  stack (:func:`repro.core.batch.stack_padded`) and evaluated by a single
-  :func:`repro.core.batch.witness_batch` pass; the padding rows are
-  all-NaN, which the kernel already treats as excluded groups, so the
+* **One kernel call per measurement** — the subsets' group rows are
+  concatenated into one ``(rows, n_outcomes)`` matrix, one slice per
+  subset, so a single segment kernel call measures every subset's own
+  groups: :func:`repro.core.batch.segment_witness` for the point
+  epsilons, each registered metric's kernel for the metric sweep. The
   results are bit-identical to looping
   :func:`repro.core.empirical.edf_from_contingency` over
   :meth:`ContingencyTable.marginalize` for integer-valued counts (the
@@ -23,14 +23,16 @@ and Monte Carlo runs. This module does the entire sweep in one pass:
   floating point; non-integer counts agree to summation-order rounding,
   since the lattice accumulates one axis at a time).
 * **Shared-draw posterior sweep** — :func:`posterior_subset_sweep` draws
-  the full intersectional posterior *once* as unnormalised gamma variates
+  the full intersectional posterior as unnormalised gamma variates
   (:meth:`GroupOutcomePosterior.sample_gammas`) and marginalises the same
   draws to every subset. This is exact, not approximate: under the joint
   Dirichlet model (per-cell prior concentration ``alpha``, the companion
   paper's model) a Dirichlet aggregated over cells is the aggregated
   subset's Dirichlet, and gamma variates realise that aggregation by
   simple summation. Every subset's credible interval therefore costs one
-  sampling pass instead of ``2^p - 1``.
+  sampling pass instead of ``2^p - 1``. The pass runs in blocks of draws
+  sized by a fixed byte budget, so its working set does not grow with the
+  number of draws.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.bayesian import PosteriorEpsilon, summarize_epsilon_sample_rows
-from repro.core.batch import stack_padded, witness_batch
+from repro.core.batch import extrema_epsilons, segment_witness
 from repro.core.estimators import (
     ProbabilityEstimator,
     as_estimator,
@@ -162,64 +164,67 @@ def _subset_group_labels(
     )
 
 
+def _subset_rows(
+    contingency: ContingencyTable,
+) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """The axis subsets (Table 2 order), their marginal group x outcome
+    counts concatenated into one ``(rows, n_outcomes)`` matrix (groups in
+    tensor order) and each subset's first row: the segment layout of
+    :mod:`repro.core.batch`."""
+    n_factors = len(contingency.factor_names)
+    lattice = marginal_count_lattice(contingency.counts, n_factors)
+    subsets = _axis_subsets(n_factors)
+    matrices = [
+        lattice[axes].reshape(-1, contingency.n_outcomes) for axes in subsets
+    ]
+    starts = np.cumsum([0] + [len(matrix) for matrix in matrices[:-1]])
+    return subsets, np.concatenate(matrices), starts
+
+
 def sweep_results(
     contingency: ContingencyTable,
     estimator: ProbabilityEstimator | float | None = None,
 ) -> dict[tuple[str, ...], EpsilonResult]:
     """Every subset's :class:`EpsilonResult` from one batched kernel pass.
 
-    Equivalent to calling
-    :func:`repro.core.empirical.edf_from_contingency` on
-    ``contingency.marginalize(subset)`` for every non-empty subset — and
-    bit-identical to it for integer-valued counts, where the lattice's
-    axis-at-a-time summation is exact; non-integer counts agree to
-    summation-order rounding (~1 ulp). The marginal counts come from the
-    memoized lattice, the built-in estimators run once over all subsets'
-    stacked rows, and a single :func:`repro.core.batch.witness_batch`
-    call measures every subset.
+    Equivalent to :func:`repro.core.empirical.edf_from_contingency` on
+    ``contingency.marginalize(subset)`` for every non-empty subset (see
+    the module docstring for when bit for bit). The built-in estimators
+    run once over all subsets' concatenated rows, and one
+    :func:`repro.core.batch.segment_witness` call measures every subset.
     """
     estimator_obj = as_estimator(estimator)
+    builtin = is_builtin_estimator(estimator_obj)
     names = tuple(contingency.factor_names)
     outcome_levels = contingency.outcome_levels
-    n_outcomes = len(outcome_levels)
+    subsets, counts, starts = _subset_rows(contingency)
+    bounds = [*starts, len(counts)]
 
-    lattice = marginal_count_lattice(contingency.counts, len(names))
-    subsets = _axis_subsets(len(names))
-    matrices = [lattice[axes].reshape(-1, n_outcomes) for axes in subsets]
-
-    if is_builtin_estimator(estimator_obj):
-        # One estimator call over every subset's rows: the built-in
-        # estimators are row-wise, so the concatenated output slices back
-        # bitwise unchanged. User-defined estimators get one call per
-        # subset matrix — the ABC does not promise row-wise independence
-        # (an estimator may pool across the rows it is handed).
-        bounds = np.cumsum([0] + [matrix.shape[0] for matrix in matrices])
-        stacked_probs = estimator_obj.probabilities(np.concatenate(matrices))
-        probabilities = [
-            stacked_probs[start:stop] for start, stop in zip(bounds, bounds[1:])
-        ]
+    if builtin:
+        # The built-in estimators are row-wise, so one call over every
+        # subset's rows slices back bitwise unchanged. User-defined
+        # estimators get one call per subset matrix — the ABC does not
+        # promise row-wise independence (an estimator may pool across the
+        # rows it is handed).
+        probabilities = estimator_obj.probabilities(counts)
     else:
-        probabilities = [
-            estimator_obj.probabilities(matrix) for matrix in matrices
-        ]
-    group_masses = [matrix.sum(axis=1) for matrix in matrices]
-
-    # Zero-count groups are excluded (P(s) = 0) exactly as the pointwise
-    # path's group_mass does: NaN their rows in the kernel's stack only —
-    # the stored per-subset probabilities keep the estimator's raw output.
-    # A no-op for the built-in estimators, which already emit NaN rows.
-    stack = stack_padded(probabilities)
-    for row, mass in enumerate(group_masses):
-        empty = mass <= 0
-        if empty.any():
-            stack[row, : mass.shape[0]][empty] = np.nan
-    witness = witness_batch(
-        stack, validate=not is_builtin_estimator(estimator_obj)
+        probabilities = np.concatenate(
+            [
+                estimator_obj.probabilities(counts[start:stop])
+                for start, stop in zip(bounds, bounds[1:])
+            ]
+        )
+    # Zero-count groups are excluded (P(s) = 0) through the group mass,
+    # exactly as the pointwise path; the stored per-subset probabilities
+    # keep the estimator's raw output.
+    mass = counts.sum(axis=1)
+    witness = segment_witness(
+        probabilities, starts, group_mass=mass, validate=not builtin
     )
 
     results: dict[tuple[str, ...], EpsilonResult] = {}
-    for row, (axes, mass, matrix) in enumerate(
-        zip(subsets, group_masses, probabilities)
+    for row, (axes, start, stop) in enumerate(
+        zip(subsets, bounds, bounds[1:])
     ):
         labels = _subset_group_labels(contingency, axes)
         outcome_index = int(witness["outcome"][row])
@@ -239,8 +244,8 @@ def sweep_results(
             attribute_names=subset_names,
             group_labels=tuple(labels),
             outcome_levels=outcome_levels,
-            probabilities=matrix.copy(),
-            group_mass=mass,
+            probabilities=probabilities[start:stop].copy(),
+            group_mass=mass[start:stop],
             per_outcome={
                 outcome: float(per_outcome_row[column])
                 for column, outcome in enumerate(outcome_levels)
@@ -257,13 +262,9 @@ def metric_sweep_results(
 ) -> dict[tuple[str, ...], dict[str, float]]:
     """Every registered fairness metric for every subset, one pass each.
 
-    The marginal counts come from the same memoized lattice as
-    :func:`sweep_results`; the per-subset matrices are NaN-padded into
-    one ``(n_subsets, max_groups, n_outcomes)`` count stack (padding
-    rows are excluded groups under the metric kernels' conventions,
-    exactly as under :func:`repro.core.batch.witness_batch`), and each
-    metric is one stacked kernel call over all ``2^p - 1`` subsets.
-    Values are bit-identical to evaluating the metric on each subset's
+    Each metric is one kernel call over all ``2^p - 1`` subsets' rows, one
+    slice per subset (the :class:`repro.core.metrics.FairnessMetric`
+    contract). Values are bit-identical to the metric on each subset's
     own marginal matrix — and, through the row-level adapters in
     :mod:`repro.metrics`, to the legacy per-row functions on the
     underlying rows (integer counts marginalise exactly).
@@ -273,16 +274,14 @@ def metric_sweep_results(
     subsets keyed by attribute-name tuples, smallest subsets first
     (Table 2 order).
     """
-    from repro.core.metrics import metric_values
+    from repro.core.metrics import get_metric, registered_metrics
 
     names = tuple(contingency.factor_names)
-    n_outcomes = contingency.n_outcomes
-    lattice = marginal_count_lattice(contingency.counts, len(names))
-    subsets = _axis_subsets(len(names))
-    stack = stack_padded(
-        [lattice[axes].reshape(-1, n_outcomes) for axes in subsets]
-    )
-    values = metric_values(stack, metrics)
+    subsets, counts, starts = _subset_rows(contingency)
+    values = {
+        metric: get_metric(metric).kernel(counts, starts)
+        for metric in (registered_metrics() if metrics is None else metrics)
+    }
     return {
         tuple(names[axis] for axis in axes): {
             metric: float(column[row]) for metric, column in values.items()
@@ -374,6 +373,28 @@ def metric_subset_sweep(
     )
 
 
+# Bytes of gamma lattice (every subset's groups x outcomes x draws) one
+# block of posterior draws may fill: the posterior sweep draws,
+# marginalises and reduces one block at a time, so its working set stays
+# near this bound however many draws are asked for. On a 2,400-group,
+# 63-subset sweep of 500 draws, 16 MB ran as fast as larger budgets (one
+# block included) at a sixth of one block's peak memory; smaller budgets
+# ran slower.
+_POSTERIOR_BLOCK_BYTES = 16 * 2**20
+
+
+def _group_extrema(
+    draws: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(draws, outcomes)`` max and min of a subset's normalised
+    ``(outcome, group, draw)`` gamma block over its observed groups."""
+    if not keep.all():
+        draws = draws[:, keep, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        probabilities = draws / draws.sum(axis=0)
+    return probabilities.max(axis=1).T, probabilities.min(axis=1).T
+
+
 def _posterior_sweep_epsilons(
     contingency: ContingencyTable,
     alpha: float,
@@ -383,66 +404,58 @@ def _posterior_sweep_epsilons(
     """One shared posterior draw, marginalised and measured for every subset.
 
     Returns the axis subsets and a ``(n_subsets, n_samples)`` epsilon
-    matrix. The heavy work per subset is three light passes (normalise,
-    group-max, group-min); the logarithm runs only on the group-reduced
-    extrema, which is bitwise the same epsilon as
-    :func:`repro.core.batch.epsilon_batch` on the subset's normalised
-    draws because the log is monotone (``max log p = log max p``) and the
-    kernel's NaN/inf conventions are reproduced on the reduced array.
+    matrix. Blocks of draws are taken, marginalised and reduced one at a
+    time; successive blocks from the one generator are the variates of a
+    single draw, so no sample depends on the block width. Per subset the
+    work is three light passes (normalise, group-max, group-min); the log
+    runs once, on the extrema (:func:`repro.core.batch.extrema_epsilons`).
     """
-    names = contingency.factor_names
+    if n_samples < 1:
+        raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
+    n_factors = len(contingency.factor_names)
     n_outcomes = contingency.n_outcomes
     factor_shape = tuple(len(levels) for levels in contingency.factor_levels)
     posterior = GroupOutcomePosterior(
         contingency.group_outcome_matrix()[0], prior_concentration=alpha
     )
-    gammas = posterior.sample_gammas(n_samples, as_generator(seed))
-    # Lay the tensor out as (outcome, factors..., draws): the lattice's
-    # factor-axis sums and the per-subset outcome/group reductions below
-    # then all run over long contiguous spans of the draw axis, instead of
-    # short strided inner loops over the (small) group axis.
-    gamma_tensor = np.ascontiguousarray(gammas.transpose(2, 1, 0)).reshape(
-        n_outcomes, *factor_shape, n_samples
+    count_tensor = contingency.counts.reshape(-1, n_outcomes).T.reshape(
+        n_outcomes, *factor_shape
     )
-    count_tensor = (
-        contingency.counts.reshape(-1, n_outcomes).T.reshape(
-            n_outcomes, *factor_shape
-        )
-    )
+    count_lattice = marginal_count_lattice(count_tensor, n_factors, lead_axes=1)
+    subsets = _axis_subsets(n_factors)
+    keeps = [
+        count_lattice[axes].reshape(n_outcomes, -1).sum(axis=0) > 0
+        for axes in subsets
+    ]
+    # Subsets with fewer than two observed groups keep NaN extrema below.
+    measured = [index for index, keep in enumerate(keeps) if keep.sum() >= 2]
+    # Near-equal blocks of at most max(4, width) draws, so none is one draw
+    # wide unless n_samples is 1: a size-1 draw axis drops out of the
+    # lattice's axis sums, which then add up a factor axis pairwise
+    # instead of element by element — another summation order, other bits.
+    width = _POSTERIOR_BLOCK_BYTES // (8 * n_outcomes * sum(map(len, keeps)))
+    n_blocks = -(-n_samples // max(4, width))
+    bounds = (np.arange(n_blocks + 1) * n_samples // n_blocks).tolist()
 
-    count_lattice = marginal_count_lattice(count_tensor, len(names), lead_axes=1)
-    gamma_lattice = marginal_count_lattice(gamma_tensor, len(names), lead_axes=1)
-
-    subsets = _axis_subsets(len(names))
-    per_outcome = np.full((len(subsets), n_samples, n_outcomes), np.nan)
-    constrained = np.zeros(len(subsets), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for index, axes in enumerate(subsets):
-            sizes = count_lattice[axes].reshape(n_outcomes, -1).sum(axis=0)
-            keep = sizes > 0
-            if int(keep.sum()) < 2:
-                continue  # vacuous: epsilon is 0 for every draw
-            constrained[index] = True
-            draws = gamma_lattice[axes].reshape(n_outcomes, -1, n_samples)
-            if not keep.all():
-                draws = draws[:, keep, :]
-            probabilities = draws / draws.sum(axis=0)
-            per_outcome[index] = (
-                np.log(probabilities.max(axis=1)) - np.log(
-                    probabilities.min(axis=1)
-                )
-            ).T
-
-    # The epsilon_batch tail, on the group-reduced array: a draw whose
-    # per-outcome row is all NaN has no outcome in Range(M).
-    informative = ~np.isnan(per_outcome).all(axis=2)
-    if np.any(constrained[:, None] & ~informative):
-        raise ValidationError("no outcome had positive probability")
-    epsilons = np.zeros((len(subsets), n_samples))
-    active = constrained[:, None] & informative
-    if active.any():
-        epsilons[active] = np.nanmax(per_outcome[active], axis=1)
-    return subsets, epsilons
+    high = np.full((len(subsets), n_samples, n_outcomes), np.nan)
+    low = high.copy()
+    rng = as_generator(seed)
+    for start, stop in zip(bounds, bounds[1:]):
+        # Lay the block out as (outcome, factors..., draws): the lattice's
+        # factor-axis sums and the per-subset outcome/group reductions
+        # then all run over contiguous spans of the draw axis, instead of
+        # short strided inner loops over the (small) group axis.
+        tensor = np.ascontiguousarray(
+            posterior.sample_gammas(stop - start, rng).transpose(2, 1, 0)
+        ).reshape(n_outcomes, *factor_shape, stop - start)
+        lattice = marginal_count_lattice(tensor, n_factors, lead_axes=1)
+        for index in measured:
+            high[index, start:stop], low[index, start:stop] = _group_extrema(
+                lattice[subsets[index]].reshape(n_outcomes, -1, stop - start),
+                keeps[index],
+            )
+        del tensor, lattice  # free the block before drawing the next
+    return subsets, extrema_epsilons(high, low)[1]
 
 
 @dataclass(frozen=True)
@@ -563,12 +576,12 @@ def posterior_subset_sweep(
     seed. Subset groups with zero observed count are excluded, matching
     the ``P(s) = 0`` convention of the point estimators.
 
-    Every subset's epsilon draws then come from one fused reduction: the
-    per-outcome extrema are taken over each subset's groups *before* the
-    logarithm (``max log p = log max p``), so the expensive transcendental
-    runs only on the group-reduced ``(n_subsets, n_samples, n_outcomes)``
-    array — bit-identical to running :func:`repro.core.batch.epsilon_batch`
-    per subset, at a fraction of the memory traffic.
+    The draws are marginalised and reduced in blocks of draws, so the
+    working set does not grow with ``n_samples``, and each subset's
+    per-outcome extrema are taken over its groups *before* the logarithm
+    (``max log p = log max p``): bit-identical to running
+    :func:`repro.core.batch.epsilon_batch` per subset, at a fraction of
+    the memory traffic.
     """
     contingency = as_sweep_contingency(data, protected, outcome)
     names = tuple(contingency.factor_names)

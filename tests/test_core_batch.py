@@ -15,6 +15,8 @@ from scipy import stats
 from repro.core.batch import (
     epsilon_batch,
     per_outcome_epsilon_batch,
+    segment_sum,
+    segment_witness,
     witness_batch,
 )
 from repro.core.epsilon import epsilon_from_probabilities
@@ -174,6 +176,52 @@ class TestValidation:
         stack[2, 1] = [-0.5, 1.5]
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
             epsilon_batch(stack, validate=True)
+
+
+class TestSegmentKernel:
+    """Slices of one concatenated matrix measure exactly as alone."""
+
+    @staticmethod
+    def assert_slice_matches_alone(witness, index, matrix):
+        alone = witness_batch(matrix[None])
+        for key, values in alone.items():
+            assert np.array_equal(
+                witness[key][index], values[0], equal_nan=True
+            ), key
+
+    def test_ragged_slices_match_standalone_stacks(self, rng):
+        matrices = [
+            random_stack(rng, 1, groups, 3, nan_row_rate=0.3, zero_cell_rate=0.2)[0]
+            for groups in (1, 4, 2, 7, 3)
+        ]
+        starts = np.cumsum([0] + [len(matrix) for matrix in matrices[:-1]])
+        witness = segment_witness(np.concatenate(matrices), starts)
+        for index, matrix in enumerate(matrices):
+            self.assert_slice_matches_alone(witness, index, matrix)
+
+    def test_empty_slice_reads_no_neighbour(self, rng):
+        # ufunc.reduceat returns the row at an empty slice's start; the
+        # kernel must give the empty slice no groups instead.
+        matrices = [random_stack(rng, 1, 3, 2)[0], random_stack(rng, 1, 2, 2)[0]]
+        witness = segment_witness(np.concatenate(matrices), [0, 3, 3, 5])
+        for index in (1, 3):
+            assert witness["epsilon"][index] == 0.0
+            assert witness["outcome"][index] == -1
+            assert np.isnan(witness["per_outcome"][index]).all()
+        self.assert_slice_matches_alone(witness, 0, matrices[0])
+        self.assert_slice_matches_alone(witness, 2, matrices[1])
+
+    def test_zero_group_stack_raises(self):
+        with pytest.raises(ValidationError, match="group"):
+            epsilon_batch(np.zeros((2, 0, 2)))
+
+    def test_segment_sum_is_each_slices_own_sum(self, rng):
+        values = rng.random(40) * 10
+        starts = np.array([0, 0, 9, 17, 17, 40])
+        sums = segment_sum(values, starts)
+        bounds = [*starts, len(values)]
+        for index, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+            assert sums[index] == values[start:stop].sum()
 
 
 class TestVectorisedSampler:

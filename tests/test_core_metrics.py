@@ -477,10 +477,9 @@ class TestRegistry:
     def test_register_unregister_round_trip(self):
         metric = FairnessMetric(
             name="test_gap_squared",
-            kernel=lambda counts: demographic_parity_difference_counts(
-                counts
-            )
-            ** 2,
+            kernel=lambda counts, starts: (
+                demographic_parity_difference_counts(counts) ** 2
+            ),
             description="squared gap (test)",
         )
         register_metric(metric)
@@ -499,7 +498,7 @@ class TestRegistry:
         register_metric(
             FairnessMetric(
                 name="test_constant",
-                kernel=lambda counts: np.full(counts.shape[:-2], 7.0),
+                kernel=lambda counts, starts: np.full(len(starts), 7.0),
                 description="constant (test)",
             )
         )

@@ -136,6 +136,21 @@ class TestTableFastPath:
         with pytest.raises(SchemaError):
             accumulator.update_table(numeric_table)
 
+    def test_rejected_table_leaves_levels_and_shape_untouched(self):
+        # The dynamic factor axes come before the pinned outcome axis that
+        # rejects the chunk: no axis may grow before every axis is checked.
+        accumulator = StreamingContingency(
+            ["a", "b"], "y", outcome_levels=["n", "p"]
+        )
+        accumulator.update([("a", "b", "n")])
+        with pytest.raises(ValidationError, match="pinned"):
+            accumulator.update_table(
+                Table.from_rows(["a", "b", "y"], [("a2", "b2", "maybe")])
+            )
+        assert accumulator.factor_levels == [("a",), ("b",)]
+        assert accumulator.counts.shape == (1, 1, 2)
+        assert accumulator.n_rows == 1
+
 
 class TestMerge:
     def test_merge_mismatched_schema_raises(self):

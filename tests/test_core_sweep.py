@@ -11,24 +11,37 @@ Three contracts are pinned down here:
   (aggregated prior) for every proper subset (KS + moment checks);
 * the vectorised :func:`privacy_violations` returns exactly the looped
   implementation's triples.
+
+A property-based oracle ties the three segment-kernel sweeps (point,
+metric, posterior) to their per-subset references on random tensors, and
+the posterior sweep's draw blocks are pinned: their width changes no bit,
+the shared generator ends where one whole draw leaves it, and the peak
+memory does not grow with the number of draws.
 """
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
-from repro.core.batch import epsilon_batch, stack_padded, witness_batch
+from repro.core import sweep as sweep_module
+from repro.core.batch import epsilon_batch
 from repro.core.bayesian import posterior_epsilon, posterior_epsilon_samples
 from repro.core.empirical import edf_from_contingency
 from repro.core.epsilon import epsilon_from_probabilities
+from repro.core.estimators import MLEEstimator, ProbabilityEstimator
+from repro.core.metrics import get_metric, registered_metrics
 from repro.core.privacy import posterior_group_probabilities, privacy_violations
 from repro.core.subsets import all_nonempty_subsets, subset_sweep
 from repro.core.sweep import (
     PosteriorSubsetSweep,
     marginal_count_lattice,
+    metric_sweep_results,
     posterior_subset_sweep,
     sweep_results,
 )
@@ -192,39 +205,6 @@ class TestMarginalCountLattice:
             marginal_count_lattice(np.zeros(3), 2, lead_axes=1)
 
 
-class TestStackPadded:
-    def test_pads_with_nan_rows(self):
-        stacked = stack_padded([np.ones((2, 3)), np.ones((4, 3))])
-        assert stacked.shape == (2, 4, 3)
-        assert np.isnan(stacked[0, 2:]).all()
-        assert not np.isnan(stacked[1]).any()
-
-    def test_padding_is_excluded_by_kernels(self, rng):
-        blocks = [
-            rng.dirichlet(np.ones(3), size=4),
-            rng.dirichlet(np.ones(3), size=2),
-        ]
-        stacked = stack_padded(blocks)
-        batched = epsilon_batch(stacked)
-        for index, block in enumerate(blocks):
-            assert batched[index] == epsilon_batch(block[None])[0]
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            stack_padded([])
-        with pytest.raises(ValidationError):
-            stack_padded([np.ones(3)])
-        with pytest.raises(ValidationError):
-            stack_padded([np.ones((2, 3)), np.ones((2, 4))])
-
-    def test_integer_blocks_become_float(self):
-        stacked = stack_padded(
-            [np.array([[1, 3]]), np.array([[1, 1], [0, 2]])]
-        )
-        assert stacked.dtype == float
-        assert stacked[0, 0, 1] == 3.0
-
-
 class TestPosteriorSubsetSweep:
     def test_full_intersection_bit_identical_to_posterior_epsilon(self):
         contingency = random_contingency(seed=8, empty_group_slices=[(1, 2)])
@@ -373,6 +353,145 @@ class TestPosteriorSubsetSweep:
         assert all(len(row) == 2 for row in rows)
         text = sweep.to_text()
         assert "posterior mean" in text and "q" not in text.split("\n")[1]
+
+
+class ShrinkToPool(ProbabilityEstimator):
+    """A user-defined estimator that pools across the rows it is handed
+    (allowed by the ABC), so it must see each subset's matrix alone."""
+
+    name = "shrink-to-pool"
+
+    def probabilities(self, counts):
+        counts = self._validated(counts)
+        plug_in = MLEEstimator().probabilities(counts)
+        pooled = counts.sum(axis=0) / max(counts.sum(), 1.0)
+        return 0.8 * plug_in + 0.2 * pooled
+
+
+@st.composite
+def sparse_contingencies(draw):
+    """Random count tensors, p = 1..4 with 1-4 levels per axis and 2-3
+    outcomes, rich in zero cells, empty groups, subsets with a single
+    populated group and all-zero outcome columns."""
+    level_counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    n_outcomes = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rate = draw(st.sampled_from([0.3, 1.0, 5.0, 20.0]))
+    counts = rng.poisson(rate, size=(*level_counts, n_outcomes)).astype(float)
+    if draw(st.booleans()):
+        counts[..., draw(st.integers(0, n_outcomes - 1))] = 0.0
+    if draw(st.booleans()):
+        counts[1:] = 0.0  # one populated level of attr0
+    names = [f"attr{axis}" for axis in range(len(level_counts))]
+    levels = [
+        tuple(f"l{axis}{code}" for code in range(count))
+        for axis, count in enumerate(level_counts)
+    ]
+    return ContingencyTable(
+        counts, names, levels, "y", tuple(f"y{i}" for i in range(n_outcomes))
+    )
+
+
+def nan_equal(a, b) -> bool:
+    return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
+
+
+class TestSegmentSweepOracle:
+    """Every sweep equals its per-subset reference, bit for bit."""
+
+    @given(
+        sparse_contingencies(),
+        st.sampled_from([None, 0.5, 1.0, ShrinkToPool()]),
+    )
+    def test_point_sweep_matches_per_subset_edf(self, contingency, estimator):
+        assert_results_identical(
+            sweep_results(contingency, estimator),
+            seed_path_results(contingency, estimator),
+        )
+
+    @given(sparse_contingencies())
+    def test_metric_table_matches_each_kernel_per_subset(self, contingency):
+        table = metric_sweep_results(contingency)
+        for subset, row in table.items():
+            matrix = contingency.marginalize(list(subset)).group_outcome_matrix()[0]
+            assert tuple(row) == registered_metrics()
+            for name, value in row.items():
+                assert nan_equal(value, get_metric(name)(matrix)), (subset, name)
+
+    @given(
+        sparse_contingencies(),
+        st.sampled_from([1, 2, 5, 7, 9, 13]),
+        st.integers(0, 2**16),
+    )
+    def test_posterior_full_intersection_matches_posterior_epsilon(
+        self, contingency, n_samples, seed
+    ):
+        # A one-byte budget forces the minimum block width (4 draws), so
+        # most draw counts here end on a partial block.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sweep_module, "_POSTERIOR_BLOCK_BYTES", 1)
+            sweep = posterior_subset_sweep(
+                contingency, alpha=0.5, n_samples=n_samples, seed=seed
+            )
+        reference = posterior_epsilon_samples(
+            contingency, alpha=0.5, n_samples=n_samples, seed=seed
+        )
+        assert np.array_equal(
+            sweep.epsilon_samples(contingency.factor_names), reference
+        )
+
+
+class TestPosteriorDrawBlocks:
+    # A 12-level axis: its sum runs pairwise if a draw block is one draw
+    # wide, so a width-1 tail block would change the marginal subsets' bits.
+    CONTINGENCY = random_contingency(
+        seed=40, level_counts=(2, 3, 12), n_outcomes=2
+    )
+
+    def test_block_width_changes_no_subset(self, monkeypatch):
+        whole = posterior_subset_sweep(
+            self.CONTINGENCY, alpha=1.0, n_samples=9, seed=5
+        )
+        monkeypatch.setattr(sweep_module, "_POSTERIOR_BLOCK_BYTES", 1)
+        blocked = posterior_subset_sweep(
+            self.CONTINGENCY, alpha=1.0, n_samples=9, seed=5
+        )
+        for subset, samples in whole.samples.items():
+            assert np.array_equal(blocked.samples[subset], samples), subset
+
+    def test_shared_generator_ends_where_one_draw_leaves_it(self, monkeypatch):
+        monkeypatch.setattr(sweep_module, "_POSTERIOR_BLOCK_BYTES", 1)
+        shared = np.random.default_rng(11)
+        posterior_subset_sweep(
+            self.CONTINGENCY, alpha=1.0, n_samples=9, seed=shared
+        )
+        reference = np.random.default_rng(11)
+        GroupOutcomePosterior(
+            self.CONTINGENCY.group_outcome_matrix()[0], prior_concentration=1.0
+        ).sample_gammas(9, reference)
+        assert shared.bit_generator.state == reference.bit_generator.state
+
+    def test_peak_memory_does_not_grow_with_draws(self, monkeypatch):
+        # 2,000 groups in 3 subsets: a draw's lattice (33 kB) dwarfs its
+        # three epsilons, so a bounded sweep keeps its peak as the draws
+        # quadruple; holding every draw's lattice would quadruple it.
+        contingency = random_contingency(
+            seed=41, level_counts=(40, 50), n_outcomes=2
+        )
+        monkeypatch.setattr(sweep_module, "_POSTERIOR_BLOCK_BYTES", 2**19)
+
+        def peak(n_samples):
+            tracemalloc.start()
+            try:
+                posterior_subset_sweep(
+                    contingency, alpha=1.0, n_samples=n_samples, seed=0
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(45)  # three blocks of 15 draws
+        assert peak(4 * 45) <= 1.25 * one
 
 
 class TestCustomEstimatorAgainstSeedPath:

@@ -2,6 +2,9 @@
 
 import doctest
 import importlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,17 @@ class TestTopLevelExports:
         from repro.version import PAPER
 
         assert "Intersectional" in PAPER
+
+    def test_setup_py_declares_name_and_version(self):
+        pytest.importorskip("setuptools")
+        result = subprocess.run(
+            [sys.executable, "setup.py", "--name", "--version"],
+            cwd=Path(__file__).resolve().parent.parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.splitlines()[-2:] == ["repro", repro.__version__]
 
     @pytest.mark.parametrize("name", repro.__all__)
     def test_all_names_resolve(self, name):
