@@ -71,8 +71,8 @@ from repro.tabular.colcache import ColumnCache, ensure_column_cache
 from repro.tabular.csv_io import (
     CsvPlan,
     CsvSpan,
+    _iter_chunks,
     iter_csv_chunks,
-    iter_span_rows,
     plan_csv_chunks,
     plan_csv_shards,
 )
@@ -240,16 +240,11 @@ def _count_csv_span(task: _SpanTask) -> StreamingContingency:
     span = task.span
     accumulator = task.spec.new_accumulator()
     parsed = 0
-    buffer: list[list[str]] = []
-    for row in iter_span_rows(task.path, task.plan, span):
-        buffer.append(row)
-        if len(buffer) == task.batch_rows:
-            accumulator.update_table(task.plan.build_chunk(buffer))
-            parsed += len(buffer)
-            buffer = []
-    if buffer:
-        accumulator.update_table(task.plan.build_chunk(buffer))
-        parsed += len(buffer)
+    for table in _iter_chunks(
+        task.path, task.plan, task.batch_rows, start=span.start, end=span.end
+    ):
+        accumulator.update_table(table)
+        parsed += table.n_rows
     if span.n_rows is not None and parsed != span.n_rows:
         raise CsvParseError(
             f"span parsed {parsed} rows but the chunk planner counted "

@@ -16,6 +16,37 @@ resumed readers, and independent shard workers all parse identically.
 produce :class:`CsvSpan` byte ranges that workers can open, seek, and
 parse without any coordination — the substrate of
 :mod:`repro.engine.backends`.
+
+The coded reader
+----------------
+An audit depends only on counts, and a categorical file repeats its
+lines: 150,000 census rows over 2,400 intersections hold at most 4,800
+distinct lines. So the chunk reader behind :func:`iter_csv_chunks`, the
+pool workers' span counts and the ``.rccol`` build parses each distinct
+line once. It reads the data region in blocks of ``_BLOCK_BYTES``, keys
+every raw line in a per-reader dictionary, runs the row rules
+(:meth:`CsvPlan.iter_data_rows`: ``csv.reader``, stripping, blank and
+comment lines, the width check, projection, missing tokens) on each new
+line only, and builds a chunk's column codes with one ``numpy.take``
+from its lines' codes, narrowed to the levels present in the order
+:meth:`Column.categorical` gives them. Rows are numbered as data rows,
+so a width error names the same row as on the row path, and chunk
+tables equal :meth:`CsvPlan.build_chunk`'s.
+
+The row path — ``csv.reader`` over the text, :meth:`CsvPlan.iter_data_rows`
+and :meth:`CsvPlan.build_chunk` per chunk — stays the reference, and
+the reader hands the rest of its stream to it in two cases:
+
+* a block holding a quote character or a bare ``\\r``, where one line
+  of bytes need not be one csv record;
+* a block whose new lines are more than ``_NEW_LINE_SHARE`` of its
+  lines (mostly-unique input, such as an unprojected ID column, where
+  a new line costs more than the row path's row), or one that would
+  take the dictionary past ``_MAX_DISTINCT_LINES``.
+
+So a reader holds at most one block, ``_MAX_DISTINCT_LINES`` lines and
+one chunk; on the row path it holds one chunk, whatever the file's
+length.
 """
 
 from __future__ import annotations
@@ -24,8 +55,11 @@ import csv
 import io
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from repro.exceptions import CsvParseError
 from repro.tabular.column import CATEGORICAL, Column
@@ -98,14 +132,11 @@ def read_csv_text(
 ) -> Table:
     """Parse CSV content from a string; see :func:`read_csv`."""
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
-    rows: list[list[str]] = []
-    for raw_row in reader:
-        if not raw_row or all(not cell.strip() for cell in raw_row):
-            continue
-        first = raw_row[0].strip()
-        if skip_comment_prefix and first.startswith(skip_comment_prefix):
-            continue
-        rows.append([cell.strip() for cell in raw_row])
+    rows = [
+        row
+        for raw_row in reader
+        if (row := _row_cells(raw_row, skip_comment_prefix)) is not None
+    ]
     if not rows:
         raise CsvParseError("no data rows found")
 
@@ -145,6 +176,15 @@ def read_csv_text(
         else:
             columns.append(_infer_column(name, raw_values))
     return Table(columns)
+
+
+def _row_cells(raw_row: list[str], comment_prefix: str | None) -> list[str] | None:
+    """A raw csv row's stripped cells; ``None`` for a blank line (no
+    cells, or only empty ones) and for a comment line."""
+    row = [cell.strip() for cell in raw_row]
+    if not any(row) or (comment_prefix and row[0].startswith(comment_prefix)):
+        return None
+    return row
 
 
 @dataclass(frozen=True)
@@ -208,19 +248,15 @@ class CsvPlan:
                 line = handle.readline()
                 if not line:
                     raise CsvParseError("no data rows found")
-                cells = next(
-                    csv.reader([line.decode("utf-8")], delimiter=delimiter),
-                    [],
+                row = _row_cells(
+                    next(csv.reader([line.decode("utf-8")], delimiter=delimiter), []),
+                    skip_comment_prefix,
                 )
-                if not cells or all(not cell.strip() for cell in cells):
-                    offset = handle.tell()
-                    continue
-                first = cells[0].strip()
-                if skip_comment_prefix and first.startswith(skip_comment_prefix):
+                if row is None:
                     offset = handle.tell()
                     continue
                 if names is None:  # this line is the header
-                    names = [cell.strip() for cell in cells]
+                    names = row
                     offset = handle.tell()
                 # else: this line is the first data row; offset already
                 # points at its start.
@@ -259,30 +295,30 @@ class CsvPlan:
         width = len(self.names)
         number = first_row_number - 1
         for raw_row in reader:
-            if not raw_row or all(not cell.strip() for cell in raw_row):
+            row = _row_cells(raw_row, self.skip_comment_prefix)
+            if row is None:
                 continue
-            first = raw_row[0].strip()
-            if self.skip_comment_prefix and first.startswith(
-                self.skip_comment_prefix
-            ):
-                continue
-            row = [cell.strip() for cell in raw_row]
             number += 1
             if len(row) != width:
-                raise CsvParseError(
-                    f"row {number} has {len(row)} cells, expected {width}"
-                )
-            # Projection pushdown: unselected cells are dropped here, so
-            # buffers never hold more than chunk_rows x len(selected).
-            row = [row[index] for index in self.selected]
-            if self.missing_replacement is not None:
-                row = [
-                    self.missing_replacement
-                    if cell == self.missing_token
-                    else cell
-                    for cell in row
-                ]
-            yield row
+                raise self._width_error(number, len(row))
+            yield self._project(row)
+
+    def _width_error(self, number: int, n_cells: int) -> CsvParseError:
+        return CsvParseError(
+            f"row {number} has {n_cells} cells, expected {len(self.names)}"
+        )
+
+    def _project(self, row: list[str]) -> list[str]:
+        """Projection pushdown, then missing-token replacement."""
+        # Unselected cells are dropped here, so buffers never hold more
+        # than chunk_rows x len(selected).
+        row = [row[index] for index in self.selected]
+        if self.missing_replacement is not None:
+            row = [
+                self.missing_replacement if cell == self.missing_token else cell
+                for cell in row
+            ]
+        return row
 
     def to_column_cache(
         self, source_path: str | Path, cache_path: str | Path
@@ -321,8 +357,7 @@ class CsvPlan:
     def build_chunk(self, rows: Sequence[Sequence[str]]) -> Table:
         """Build a chunk table from already-projected rows."""
         chunk_columns: list[Column] = []
-        for position, index in enumerate(self.selected):
-            name = self.names[index]
+        for position, name in enumerate(self.selected_names):
             raw_values = [row[position] for row in rows]
             if self.schema is not None and name in self.schema:
                 chunk_columns.append(
@@ -331,6 +366,33 @@ class CsvPlan:
             else:
                 chunk_columns.append(Column.categorical(name, raw_values))
         return Table(chunk_columns)
+
+
+def _coded_column(
+    name: str, codes: np.ndarray, levels: Sequence[Any], schema: Schema | None
+) -> Column:
+    """A chunk column from level codes, as the CSV path would build it.
+
+    ``codes`` index ``levels``. A column the schema covers is decoded to
+    its raw strings and rebuilt through the schema's own parser; any
+    other column is categorical over ``levels`` as given.
+    """
+    if schema is not None and name in schema:
+        decoded = np.array(levels, dtype=object)[codes]
+        return schema.field(name).build_column(decoded.tolist())
+    return Column.from_codes(name, codes, levels)
+
+
+def _narrowed_column(
+    name: str, codes: np.ndarray, levels: Sequence[Any], schema: Schema | None
+) -> Column:
+    """A chunk column over only the ``levels`` its ``codes`` use.
+
+    ``levels`` are in canonical order, so the present ones keep the
+    order :meth:`Column.categorical` gives a chunk's raw values.
+    """
+    present, inverse = np.unique(codes, return_inverse=True)
+    return _coded_column(name, inverse, [levels[code] for code in present], schema)
 
 
 @dataclass(frozen=True)
@@ -364,10 +426,11 @@ def iter_csv_chunks(
 ):
     """Stream a CSV file as a sequence of :class:`Table` chunks.
 
-    The file is read incrementally — at most ``chunk_rows`` data rows are
-    materialised at a time — which is what lets the streaming audit
-    subsystem (:class:`repro.audit.stream.StreamingAuditor`, the CLI's
-    ``audit-stream``) ingest files far larger than memory.
+    The file is read incrementally — at most ``chunk_rows`` data rows,
+    one block and the coded reader's bounded line dictionary (see the
+    module docstring) are held at a time — which is what lets the
+    streaming audit subsystem (:class:`repro.audit.stream.StreamingAuditor`,
+    the CLI's ``audit-stream``) ingest files far larger than memory.
 
     Columns covered by ``schema`` are parsed to their declared kinds;
     all other columns come out *categorical* (dictionary-encoded
@@ -405,53 +468,260 @@ def iter_csv_chunks(
             skip_comment_prefix=skip_comment_prefix,
             columns=columns,
         )
-    with Path(path).open("rb") as binary:
-        binary.seek(plan.data_offset)
-        handle = io.TextIOWrapper(binary, encoding="utf-8", newline="")
-        reader = csv.reader(handle, delimiter=plan.delimiter)
-        buffer: list[list[str]] = []
-        yielded = False
-        rows = plan.iter_data_rows(reader)
-        for _ in range(skip_rows):
-            if next(rows, None) is None:
+    yielded = False
+    for chunk in _iter_chunks(
+        path, plan, chunk_rows, start=plan.data_offset, skip_rows=skip_rows
+    ):
+        yield chunk
+        yielded = True
+    if not yielded and skip_rows == 0:
+        raise CsvParseError("no data rows found")
+
+
+# The coded reader reads this many bytes at a time.
+_BLOCK_BYTES = 1 << 20
+# A block whose new lines are more than this share of its lines goes to
+# the row path. Timed in-process on census rows only (2-vCPU VM), a
+# repeated line costs the coded reader 0.65 us and a new one about 7 us
+# more, against 4-5.5 us a row on the row path, so break-even lies
+# between about 0.48 and 0.69; no benchmark workload has mostly-unique
+# lines to confirm the choice end to end.
+_NEW_LINE_SHARE = 0.5
+# Bounds the dictionary: about 215 bytes a line at the census files'
+# 50-byte lines, so 7 MB.
+_MAX_DISTINCT_LINES = 1 << 15
+
+
+def _iter_chunks(
+    path: str | Path,
+    plan: CsvPlan,
+    chunk_rows: int,
+    *,
+    start: int,
+    end: int | None = None,
+    skip_rows: int = 0,
+) -> Iterator[Table]:
+    """The coded reader: chunk tables of the data rows in ``[start, end)``.
+
+    See the module docstring. ``end=None`` reads to the end of the file
+    with the serial reader's row path, whose ``csv.reader`` also ends a
+    record at a bare ``\\r``; a span's row path is
+    :func:`iter_span_rows`'s. Data rows are numbered from 1 at ``start``,
+    and ``skip_rows`` of them are read, checked and dropped first.
+    """
+    coder = _LineCoder(plan)
+    width = len(plan.names)
+    pending = np.empty(0, dtype=np.intp)  # line ids of rows not yet chunked
+    number = 0  # data rows read, the skipped ones included
+    offset = start  # the first byte not yet coded
+    blocks = _line_blocks(path, start, end)
+    try:
+        for block in blocks:
+            ids = coder.code(block)
+            if ids is None:
                 break
-        for row in rows:
-            buffer.append(row)
-            if len(buffer) == chunk_rows:
-                yield plan.build_chunk(buffer)
-                yielded = True
-                buffer = []
-        if buffer:
+            offset += len(block)
+            cells = coder.cells[ids]
+            data = cells != 0
+            rows = ids[data]
+            ragged = np.flatnonzero(cells[data] != width)
+            error = None
+            if ragged.size:
+                first = int(ragged[0])
+                error = plan._width_error(
+                    number + first + 1, int(coder.cells[rows[first]])
+                )
+                rows = rows[:first]
+            number += len(rows)
+            dropped = min(skip_rows, len(rows))
+            skip_rows -= dropped
+            pending = np.concatenate((pending, rows[dropped:]))
+            while len(pending) >= chunk_rows:
+                yield coder.table(pending[:chunk_rows])
+                pending = pending[chunk_rows:]
+            if error is not None:
+                raise error
+        else:
+            if len(pending):
+                yield coder.table(pending)
+            return
+    finally:
+        blocks.close()
+    # The row path takes the rest of the stream, from the block that
+    # stopped the coded read; rows read before it still fill its chunks.
+    buffer = coder.rows(pending)
+    del coder, pending, block
+    row_path = plan.iter_data_rows(
+        csv.reader(_row_path_lines(path, offset, end), delimiter=plan.delimiter),
+        first_row_number=number + 1,
+    )
+    for _ in range(skip_rows):
+        if next(row_path, None) is None:
+            break
+    for row in row_path:
+        buffer.append(row)
+        if len(buffer) == chunk_rows:
             yield plan.build_chunk(buffer)
-            yielded = True
-        if not yielded and skip_rows == 0:
-            raise CsvParseError("no data rows found")
+            buffer = []
+    if buffer:
+        yield plan.build_chunk(buffer)
 
 
-def _iter_span_lines(
-    path: str | Path, span: CsvSpan, block_bytes: int = 1 << 20
-) -> Iterator[str]:
-    """Decoded lines of a span, read in bounded blocks.
+class _LineCoder:
+    """The coded reader's dictionary: each distinct raw line, parsed once.
 
-    Splitting on ``\\n`` is byte-safe in UTF-8 (no multi-byte sequence
-    contains ``0x0A``), so blocks never cut a character in a way that
-    breaks per-line decoding.
+    ``ids`` maps a raw line (bytes, without its ``\\n``) to a line id.
+    ``cells[id]`` is the line's cell count, 0 for a blank or comment
+    line. For a data line of the file's width, ``codes[id]`` holds its
+    level code in each selected column: the level's place in that
+    column's ``_level_ids``, which keeps levels in first-seen order.
+    """
+
+    def __init__(self, plan: CsvPlan):
+        self.plan = plan
+        self.ids: dict[bytes, int] = {}
+        self.cells = np.empty(0, dtype=np.intp)
+        self.codes = np.empty((0, len(plan.selected)), dtype=np.int32)
+        self._level_ids: list[dict[str, int]] = [{} for _ in plan.selected]
+        # Per column: each level code's place in canonical order, and the
+        # levels in that order.
+        self._ranks = [np.empty(0, dtype=np.int32) for _ in plan.selected]
+        self._sorted: list[list[str]] = [[] for _ in plan.selected]
+
+    def code(self, block: bytes) -> np.ndarray | None:
+        """The line ids of ``block``'s lines, parsing its new lines once;
+        ``None`` when the block goes to the row path instead."""
+        if b'"' in block or (
+            b"\r" in block and block.count(b"\r") != block.count(b"\r\n")
+        ):
+            return None
+        lines = block.split(b"\n")
+        if not lines[-1]:
+            lines.pop()  # the empty string after the block's last \n
+        ids = np.fromiter(
+            map(self.ids.get, lines, repeat(-1)), dtype=np.intp, count=len(lines)
+        )
+        if ids.min() < 0:
+            new = list(dict.fromkeys(compress(lines, ids < 0)))
+            if (
+                len(new) > _NEW_LINE_SHARE * len(lines)
+                or len(self.ids) + len(new) > _MAX_DISTINCT_LINES
+            ):
+                return None
+            self.add(new)
+            ids = np.fromiter(
+                map(self.ids.__getitem__, lines), dtype=np.intp, count=len(lines)
+            )
+        return ids
+
+    def add(self, lines: list[bytes]) -> None:
+        """Parse new ``lines`` under the row rules and give them ids."""
+        plan = self.plan
+        width = len(plan.names)
+        cells = np.zeros(len(lines), dtype=np.intp)
+        data: list[int] = []
+        rows: list[list[str]] = []
+        texts = [line.decode("utf-8") for line in lines]
+        for position, raw_row in enumerate(
+            csv.reader(texts, delimiter=plan.delimiter)
+        ):
+            row = _row_cells(raw_row, plan.skip_comment_prefix)
+            if row is None:
+                continue
+            cells[position] = len(row)
+            if len(row) == width:
+                data.append(position)
+                rows.append(plan._project(row))
+        codes = np.zeros((len(lines), len(self._level_ids)), dtype=np.int32)
+        for column, values in enumerate(zip(*rows)):
+            index = self._level_ids[column]
+            for value in dict.fromkeys(values):
+                index.setdefault(value, len(index))
+            codes[data, column] = list(map(index.__getitem__, values))
+            if len(index) != len(self._sorted[column]):
+                levels = list(index)
+                order = sorted(range(len(levels)), key=levels.__getitem__)
+                self._ranks[column] = np.empty(len(levels), dtype=np.int32)
+                self._ranks[column][order] = np.arange(len(levels))
+                self._sorted[column] = [levels[code] for code in order]
+        for line in lines:
+            self.ids[line] = len(self.ids)
+        self.cells = np.concatenate((self.cells, cells))
+        self.codes = np.concatenate((self.codes, codes))
+
+    def table(self, ids: np.ndarray) -> Table:
+        """The chunk of data rows whose line ids are ``ids``."""
+        codes = self.codes[ids]
+        return Table(
+            [
+                _narrowed_column(
+                    name,
+                    self._ranks[column][codes[:, column]],
+                    self._sorted[column],
+                    self.plan.schema,
+                )
+                for column, name in enumerate(self.plan.selected_names)
+            ]
+        )
+
+    def rows(self, ids: np.ndarray) -> list[list[str]]:
+        """The projected rows of ``ids``, as the row path yields them."""
+        levels = [list(index) for index in self._level_ids]
+        return [
+            [column[code] for column, code in zip(levels, self.codes[line])]
+            for line in ids
+        ]
+
+
+def _line_blocks(
+    path: str | Path, start: int, end: int | None = None
+) -> Iterator[bytes]:
+    """Bytes ``[start, end)`` (``end=None``: to the end of the file) in
+    blocks of whole lines, read ``_BLOCK_BYTES`` at a time.
+
+    Every block but the last ends in ``\\n``. Cutting after ``\\n`` is
+    byte-safe in UTF-8 (no multi-byte sequence contains ``0x0A``), so a
+    block never splits a character.
     """
     with Path(path).open("rb") as handle:
-        handle.seek(span.start)
-        remaining = span.end - span.start
+        handle.seek(start)
+        position = start
         tail = b""
-        while remaining > 0:
-            block = handle.read(min(block_bytes, remaining))
+        while end is None or position < end:
+            size = _BLOCK_BYTES if end is None else min(_BLOCK_BYTES, end - position)
+            block = handle.read(size)
             if not block:
                 break
-            remaining -= len(block)
-            lines = (tail + block).split(b"\n")
-            tail = lines.pop()
-            for line in lines:
-                yield line.decode("utf-8") + "\n"
+            position += len(block)
+            data = tail + block
+            cut = data.rfind(b"\n") + 1
+            tail = data[cut:]
+            if cut:
+                yield data[:cut]
         if tail:
-            yield tail.decode("utf-8")
+            yield tail
+
+
+def _row_path_lines(path: str | Path, start: int, end: int | None) -> Iterator[str]:
+    """The row path's text from ``start``: a span's lines, or the rest of
+    the file through the serial reader's universal-newline wrapper."""
+    if end is not None:
+        yield from _iter_span_lines(path, CsvSpan(start, end))
+        return
+    with Path(path).open("rb") as binary:
+        binary.seek(start)
+        yield from io.TextIOWrapper(binary, encoding="utf-8", newline="")
+
+
+def _iter_span_lines(path: str | Path, span: CsvSpan) -> Iterator[str]:
+    """Decoded lines of a span, read in bounded blocks."""
+    for block in _line_blocks(path, span.start, span.end):
+        lines = block.split(b"\n")
+        last = lines.pop()
+        for line in lines:
+            yield line.decode("utf-8") + "\n"
+        if last:
+            yield last.decode("utf-8")
 
 
 def iter_span_rows(

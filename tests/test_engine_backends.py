@@ -11,6 +11,7 @@ fresh pool.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import itertools
 import os
@@ -19,7 +20,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import repro.engine.backends as backends_module
@@ -35,6 +36,8 @@ from repro.engine.backends import (
     tree_merge,
 )
 from repro.exceptions import CsvParseError, ReproError, ValidationError
+from repro.tabular import csv_io
+from repro.tabular.colcache import ColumnCache, build_column_cache
 from repro.tabular.csv_io import (
     CsvPlan,
     iter_csv_chunks,
@@ -42,6 +45,7 @@ from repro.tabular.csv_io import (
     plan_csv_chunks,
     plan_csv_shards,
 )
+from repro.tabular.schema import Field, Schema
 
 PROTECTED = ("gender", "race")
 OUTCOME = "hired"
@@ -493,6 +497,180 @@ def test_pool_matches_serial_on_messy_csv(
         expected = _backend_outcomes(SerialBackend(), source)
         for backend in shared_pools:
             assert _backend_outcomes(backend, source) == expected
+
+
+# ----------------------------------------------------------------------
+# Differential property: the coded reader vs the row path
+# ----------------------------------------------------------------------
+_PLAIN_CELLS = ["f", "m", "?", " x ", "", "é", "日本"]
+_QUOTED_CELLS = ['"a,b"', '"two\nlines"', '"q""t"']
+_CODED_ROW = st.lists(
+    st.sampled_from(_PLAIN_CELLS * 8 + _QUOTED_CELLS), min_size=4, max_size=4
+).map(",".join)
+
+
+@st.composite
+def coded_csv(draw):
+    """CSV text over ``g,r,n,y`` that repeats its lines, its comment
+    prefix and the reader constants to run it under.
+
+    Rows come from a pool of at most five, so later blocks mostly repeat
+    earlier lines, and one row of 3 or 5 cells may be ragged. Cells may
+    be quoted (with the delimiter, a newline or a doubled quote inside),
+    blank, non-ASCII or the missing token. Blank, whitespace-only, in a
+    quarter of the files ``,,,``, and (with a prefix) comment lines land
+    anywhere, the prologue too. Data lines end in LF, CRLF or a mix with
+    bare CRs, and the final line may have no ending.
+    """
+    prefix = draw(st.sampled_from([None, "#"]))
+    blanks = ["", "  "] + draw(st.sampled_from([[], [], [], [",,,"]]))
+    filler = st.lists(
+        st.sampled_from(blanks + (["# note", "#,x,1,y"] if prefix else [])),
+        max_size=2,
+    )
+    pool = draw(st.lists(_CODED_ROW, min_size=1, max_size=5))
+    rows = draw(st.lists(st.sampled_from(pool), max_size=40))
+    if rows and draw(st.integers(0, 4)) == 0:
+        cells = draw(st.lists(st.sampled_from(_PLAIN_CELLS), min_size=3, max_size=5))
+        rows.insert(draw(st.integers(0, len(rows))), ",".join(cells))
+    prologue = [*draw(filler), "g,r,n,y"]
+    body = []
+    for row in rows:
+        body += [*draw(filler), row]
+    body += draw(filler)
+    endings = draw(st.sampled_from([["\n"], ["\r\n"], ["\n", "\r\n", "\r"]]))
+    text = "".join(line + endings[0] for line in prologue)
+    text += "".join(line + draw(st.sampled_from(endings)) for line in body)
+    if body and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    constants = {
+        "_BLOCK_BYTES": draw(st.sampled_from([1, 8, 64, 1 << 20])),
+        "_NEW_LINE_SHARE": draw(st.sampled_from([0.5, 1.0, 1.0])),
+    }
+    return text, prefix, constants
+
+
+def _outcome(call):
+    """``call()``'s value, or its error's type and message."""
+    try:
+        return call()
+    except Exception as error:  # the row path's errors are part of its output
+        return type(error), str(error)
+
+
+def _chunks_key(chunks):
+    """Each chunk table, then the iterator's error if it raised one."""
+    out = []
+    try:
+        for chunk in chunks:
+            out.append((chunk.to_dict(), chunk))
+    except Exception as error:
+        out.append((type(error), str(error)))
+    return out
+
+
+def _pool_chunks(pool, source):
+    return _outcome(
+        lambda: [
+            (chunk.index, chunk.n_rows, _counts_key(chunk.counts))
+            for chunk in pool.iter_chunk_counts(source, MESSY_SPEC)
+        ]
+    )
+
+
+def _coded_outcomes(path, plan, source, skip_rows, pool, cache_path):
+    """What every coded-reader entry point makes of one file."""
+    chunk_rows = source.chunk_rows
+    return [
+        _chunks_key(iter_csv_chunks(path, chunk_rows, plan=plan, skip_rows=skip_rows)),
+        _chunks_key(iter_csv_chunks(path, chunk_rows, plan=plan)),
+        _outcome(lambda: _counts_key(SerialBackend().build(source, MESSY_SPEC))),
+        _pool_chunks(pool, source),
+        _outcome(lambda: _cache_key(path, plan, cache_path)),
+    ]
+
+
+def _cache_key(path, plan, cache_path):
+    build_column_cache(path, plan, cache_path)
+    with ColumnCache.open(cache_path) as cache:
+        return cache.n_rows, [
+            (cache.levels(name), cache.codes(name).tolist())
+            for name in cache.column_names
+        ]
+
+
+_CODED_NUMBERS = itertools.count()
+_CODED = {"_BLOCK_BYTES": 1 << 20, "_NEW_LINE_SHARE": 1.0}
+
+
+@pytest.mark.parallel
+@given(
+    case=coded_csv(),
+    chunk_rows=st.integers(1, 7),
+    skip_rows=st.integers(0, 5),
+    missing_replacement=st.sampled_from([None, "unknown"]),
+    schema=st.sampled_from([None, Schema([Field("y", "boolean")])]),
+)
+# Lines parsed in one batch, a blank one first: each line's codes must
+# land on that line, not on its place among the batch's data lines, and
+# the ragged last line is data row 4 (but the fifth distinct line).
+@example(
+    case=("g,r,n,y\n\nf,m,x,0\n  \nm,f,x,1\nf,m,x,0\nf,m\n", None, _CODED),
+    chunk_rows=2,
+    skip_rows=0,
+    missing_replacement=None,
+    schema=None,
+)
+# A quoted line hands the stream to the row path, which must go on
+# numbering data rows where the coded read stopped.
+@example(
+    case=(
+        'g,r,n,y\nf,m,x,0\nf,m,x,0\n\nf,"m",x,1\nf,m\n',
+        None,
+        {"_BLOCK_BYTES": 8, "_NEW_LINE_SHARE": 1.0},
+    ),
+    chunk_rows=2,
+    skip_rows=0,
+    missing_replacement=None,
+    schema=None,
+)
+def test_coded_reader_matches_the_row_path(
+    shared_pools, messy_dir, case, chunk_rows, skip_rows, missing_replacement, schema
+):
+    # The reference is every entry point with the dictionary capped at
+    # zero lines, so the row path reads the whole file. ProcessPoolBackend(1)
+    # counts in this process, under the drawn reader constants; the
+    # two-worker pool's processes keep the defaults.
+    text, prefix, constants = case
+    number = next(_CODED_NUMBERS)
+    path = messy_dir / f"coded{number}.csv"
+    path.write_bytes(text.encode("utf-8"))
+    source = CsvSource(
+        str(path),
+        chunk_rows=chunk_rows,
+        columns=("g", "r", "y"),
+        missing_replacement=missing_replacement,
+        skip_comment_prefix=prefix,
+    )
+    plan = _outcome(
+        lambda: dataclasses.replace(source.plan(), schema=schema)
+    )
+    if not isinstance(plan, CsvPlan):
+        return  # a prologue without a header line: no reader runs
+    two, one = shared_pools
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csv_io, "_MAX_DISTINCT_LINES", 0)
+        expected = _coded_outcomes(
+            path, plan, source, skip_rows, one, messy_dir / f"coded{number}.row.rccol"
+        )
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in constants.items():
+            patch.setattr(csv_io, name, value)
+        coded = _coded_outcomes(
+            path, plan, source, skip_rows, one, messy_dir / f"coded{number}.rccol"
+        )
+    assert coded == expected
+    assert _pool_chunks(two, source) == expected[3]
 
 
 class TestStreamingAuditorIngest:

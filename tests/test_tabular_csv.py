@@ -1,9 +1,12 @@
 """Tests for repro.tabular.csv_io."""
 
+import tracemalloc
+
 import pytest
 
 from repro.exceptions import CsvParseError, SchemaError
-from repro.tabular.csv_io import read_csv, read_csv_text, write_csv
+from repro.tabular import csv_io
+from repro.tabular.csv_io import iter_csv_chunks, read_csv, read_csv_text, write_csv
 from repro.tabular.schema import Field, Schema
 from repro.tabular.table import Table
 
@@ -179,3 +182,28 @@ class TestIterCsvChunks:
 
         with pytest.raises(CsvParseError):
             list(iter_csv_chunks(csv_path, chunk_rows=0))
+
+
+class TestCodedReaderMemory:
+    def test_peak_memory_does_not_grow_on_unique_lines(self, tmp_path, monkeypatch):
+        # Every line is distinct (an unprojected id column), so the reader
+        # drops its dictionary at the first block and then holds a chunk;
+        # keeping the dictionary would quadruple its peak with the rows.
+        monkeypatch.setattr(csv_io, "_BLOCK_BYTES", 1 << 14)
+
+        def peak(n_rows):
+            path = tmp_path / f"unique{n_rows}.csv"
+            with path.open("w", encoding="utf-8") as handle:
+                handle.write("id,g,y\n")
+                for index in range(n_rows):
+                    handle.write(f"{index},g{index % 3},y{index % 2}\n")
+            tracemalloc.start()
+            try:
+                for _ in iter_csv_chunks(path, 256, columns=["g", "y"]):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(3000)
+        assert peak(4 * 3000) <= 1.25 * one
