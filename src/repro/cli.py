@@ -83,8 +83,9 @@ Deployment topologies:
                    cache (factorised level tables + mmap-able int32
                    codes, CRC-validated, fingerprinted against the
                    source); every later audit of the unchanged file
-                   skips CSV parsing and reads columns by mmap slice —
-                   combines with --workers, --window, and --checkpoint,
+                   skips CSV parsing and counts its columns by mmap
+                   slice in-process — combines with --workers (no worker
+                   starts), --window, and --checkpoint,
                    and a stale or corrupt cache fails loudly, never
                    silently audits old rows
   crash-resume     audit-stream data.csv ... --checkpoint audit.rcpk
@@ -323,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="columnar binary cache (.rccol) for the CSV: built on "
         "first use, validated against the source's size/mtime/header "
         "on every run, and read by mmap slice afterwards so re-audits "
-        "skip CSV parsing; honoured by serial and --workers ingestion "
-        "alike",
+        "skip CSV parsing; with --workers the cached codes are counted "
+        "in-process, as in a serial run",
     )
     stream.add_argument(
         "--checkpoint",

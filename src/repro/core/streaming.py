@@ -503,19 +503,29 @@ class StreamingContingency:
                     axis.add_level(level)
                 self._grow_axis(position, len(new))
         shape = self._counts.shape
-        flat = np.zeros(table.n_rows, dtype=np.int64)
+        # Every flat index of a tensor under 2**31 cells fits int32, half
+        # the bytes of int64 in each pass below.
+        dtype = np.int32 if self._counts.size < 2**31 else np.int64
+        flat = np.zeros(table.n_rows, dtype=dtype)
         for position, (axis, column) in enumerate(zip(self._axes(), columns)):
-            lut = np.array(
-                [axis.codes[level] for level in column.levels], dtype=np.int64
-            )
-            flat = flat * shape[position] + lut[column.codes]
+            lut = [axis.codes[level] for level in column.levels]
+            flat *= shape[position]
+            # A column whose levels already sit in the axis's order (a
+            # dynamic axis's first chunk, a pinned axis declared in the
+            # column's order) adds its codes as they are.
+            if lut == list(range(len(lut))):
+                flat += column.codes
+            else:
+                flat += np.take(np.array(lut, dtype=dtype), column.codes)
         return flat
 
     def update_table(self, table: Table) -> "StreamingContingency":
         """Vectorised :meth:`update` from a table's categorical columns.
 
         Level-code translation happens once per level, not per row, so a
-        chunk of k rows costs one integer gather plus one scatter-add.
+        chunk of k rows costs one in-place flat index, one integer gather
+        per column whose levels are not in the axis's order, and one
+        scatter-add.
         """
         if table.n_rows == 0:
             return self

@@ -8,10 +8,11 @@ topologies:
 
 * :mod:`repro.engine.backends` — the :class:`ExecutionBackend` contract
   plus :class:`SerialBackend` (one process, ordered chunks, windows and
-  resume) and :class:`ProcessPoolBackend` (byte-range CSV shards or
-  column-cache row ranges fanned out to a persistent worker pool whose
-  count states come back through the result queue, merged by a
-  bounded-window coordinator — bit-identical to the serial pass);
+  resume) and :class:`ProcessPoolBackend` (byte-range CSV shards
+  fanned out to a persistent worker pool whose count states come back
+  through the result queue, merged by a bounded-window coordinator —
+  bit-identical to the serial pass; a source with a column cache is
+  counted in-process);
 * :mod:`repro.engine.checkpoint` — the versioned ``.rcpk`` on-disk
   checkpoint format (atomic write-rename, CRC corruption detection)
   for :class:`StreamingContingency` and

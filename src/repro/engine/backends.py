@@ -27,21 +27,17 @@ machines, and every topology produces bit-identical results.
     windows and resume.
 
 :class:`ProcessPoolBackend`
-    Fans spans of the source out to a persistent pool of worker
+    Fans byte spans of a CSV source out to a persistent pool of worker
     processes and merges their counts. A worker returns each unit's
     ``state_dict()`` through the executor's result queue: one count
-    tensor, the only thing that crosses a process boundary. Two engine
-    properties make it fast rather than merely parallel:
-
-    * **Bounded in-flight window** — the coordinator submits up to
-      ``max(2, 2 * workers)`` tasks ahead of consumption, so it merges
-      chunk *i* while workers parse chunks *i+1 … i+W*. Results still
-      arrive in chunk order, preserving the chunk-aligned epsilon-trace
-      contract.
-    * **Columnar cache awareness** — when the :class:`CsvSource` names
-      a ``.rccol`` column cache (:mod:`repro.tabular.colcache`), workers
-      read their row ranges as mmap slices of pre-factorised int32
-      codes instead of re-parsing CSV text.
+    tensor, the only thing that crosses a process boundary. The
+    coordinator submits up to ``max(2, 2 * workers)`` tasks ahead of
+    consumption, so it merges chunk *i* while workers parse chunks
+    *i+1 … i+W*; results still arrive in chunk order, preserving the
+    chunk-aligned epsilon-trace contract. A source that names a
+    ``.rccol`` column cache (:mod:`repro.tabular.colcache`) is counted
+    in-process, exactly as :class:`SerialBackend` counts it: there is
+    no parse left to share out.
 
     Chunk boundaries are byte-identical to :class:`SerialBackend`'s,
     and a worker whose parsed row count disagrees with the planner's
@@ -55,7 +51,6 @@ backend as a context manager) to release the worker processes.
 from __future__ import annotations
 
 import logging
-import os
 from collections import deque
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -98,9 +93,9 @@ class CsvSource:
     serial loop, pool workers, and checkpoint metadata.
 
     ``column_cache`` names an optional ``.rccol`` columnar binary cache
-    (:mod:`repro.tabular.colcache`). When set, backends read the file's
-    pre-factorised columns by mmap slice — skipping CSV parsing
-    entirely on a warm cache — and (re)build the cache from the CSV
+    (:mod:`repro.tabular.colcache`). When set, every backend counts the
+    file's pre-factorised codes in-process — skipping CSV parsing
+    entirely on a warm cache — and (re)builds the cache from the CSV
     when it is missing or stale. Results are bit-identical to parsing;
     a *corrupt* cache file fails loudly instead of being regenerated.
     """
@@ -131,16 +126,14 @@ class CsvSource:
             columns=self.columns,
         )
 
-    def open_cache(self, plan: CsvPlan | None = None) -> ColumnCache | None:
+    def open_cache(self) -> ColumnCache | None:
         """Open (building or refreshing as needed) the column cache.
 
         Returns ``None`` when the source has no cache configured.
         """
         if self.column_cache is None:
             return None
-        if plan is None:
-            plan = self.plan()
-        return ensure_column_cache(self.path, plan, self.column_cache)
+        return ensure_column_cache(self.path, self.plan(), self.column_cache)
 
 
 @dataclass(frozen=True)
@@ -200,43 +193,23 @@ def tree_merge(accumulators: Sequence[_Mergeable]) -> _Mergeable:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class _SpanTask:
-    """One worker assignment: count one unit, ship its state.
-
-    Exactly one read mode is active: CSV mode (``span``, a byte range
-    parsed under ``plan``) or cache mode (``row_range``, sliced from the
-    mmap'd column cache at ``cache_path``).
-    """
+    """One worker assignment: parse one byte span, ship its counts."""
 
     path: str
-    plan: CsvPlan | None
+    plan: CsvPlan
     spec: ContingencySpec
     index: int
+    span: CsvSpan
     batch_rows: int = 4096
-    span: CsvSpan | None = None
-    cache_path: str | None = None
-    cache_token: tuple[int, int] | None = None
-    row_range: tuple[int, int] | None = None
-    schema: Schema | None = None
 
 
-# One validated cache mapping per worker process, keyed by (path, token)
-# so a rebuilt cache file (new size/mtime) is reopened, never read stale.
-_WORKER_CACHES: dict[tuple[str, tuple[int, int]], ColumnCache] = {}
+def _count_task(task: _SpanTask) -> tuple[int, int, dict[str, Any]]:
+    """Worker entry point: ``(unit index, n_rows, state_dict())``.
 
-
-def _worker_cache(path: str, token: tuple[int, int]) -> ColumnCache:
-    key = (path, tuple(token))
-    cache = _WORKER_CACHES.get(key)
-    if cache is None:
-        for stale in list(_WORKER_CACHES):
-            if stale[0] == path:
-                _WORKER_CACHES.pop(stale).close()
-        cache = ColumnCache.open(path)
-        _WORKER_CACHES[key] = cache
-    return cache
-
-
-def _count_csv_span(task: _SpanTask) -> StreamingContingency:
+    Module-level so it pickles under every multiprocessing start
+    method. Workers never estimate probabilities — they only count — so
+    the coordinator's estimator choice cannot skew shard results.
+    """
     span = task.span
     accumulator = task.spec.new_accumulator()
     parsed = 0
@@ -251,35 +224,6 @@ def _count_csv_span(task: _SpanTask) -> StreamingContingency:
             f"{span.n_rows}; the file mixes blank-cell lines (e.g. ',,') "
             "with data — ingest it with the serial backend"
         )
-    return accumulator
-
-
-def _count_cache_range(task: _SpanTask) -> StreamingContingency:
-    cache = _worker_cache(task.cache_path, task.cache_token)
-    accumulator = task.spec.new_accumulator()
-    start, stop = task.row_range
-    for batch_start in range(start, stop, task.batch_rows):
-        accumulator.update_table(
-            cache.table_slice(
-                batch_start,
-                min(batch_start + task.batch_rows, stop),
-                schema=task.schema,
-            )
-        )
-    return accumulator
-
-
-def _count_task(task: _SpanTask) -> tuple[int, int, dict[str, Any]]:
-    """Worker entry point: ``(unit index, n_rows, state_dict())``.
-
-    Module-level so it pickles under every multiprocessing start
-    method. Workers never estimate probabilities — they only count — so
-    the coordinator's estimator choice cannot skew shard results.
-    """
-    if task.cache_path is not None:
-        accumulator = _count_cache_range(task)
-    else:
-        accumulator = _count_csv_span(task)
     return task.index, accumulator.n_rows, accumulator.state_dict()
 
 
@@ -375,10 +319,13 @@ class SerialBackend(ExecutionBackend):
         self, source: CsvSource, spec: ContingencySpec
     ) -> StreamingContingency:
         if source.column_cache is not None:
-            # Warm-cache fast path: one global-level table, one gather,
-            # one scatter-add — no per-chunk level narrowing. Integer
-            # counts are identical to the chunked path; the canonical
-            # snapshot erases the only difference (internal level order).
+            # Warm-cache fast path: the whole file as one table over the
+            # cache's global levels, counted straight from its mmap'd
+            # codes — no per-chunk level narrowing, a gather only for a
+            # column whose levels are out of the axis's order, and one
+            # scatter-add. Integer counts are identical to the chunked
+            # path; the canonical snapshot erases the only difference
+            # (internal level order).
             cache = source.open_cache()
             try:
                 if cache.n_rows == 0:
@@ -413,9 +360,9 @@ class SerialBackend(ExecutionBackend):
 class ProcessPoolBackend(ExecutionBackend):
     """Multi-process ingestion: shard the source, count, merge.
 
-    ``workers`` processes each read their assignment independently —
-    byte-range CSV seeks, or mmap slices of the column cache — and
-    return compact count-tensor states through the pool's result queue.
+    ``workers`` processes each parse their byte range of the CSV
+    independently and return compact count-tensor states through the
+    pool's result queue.
     Results are bit-identical to :class:`SerialBackend` because the
     counts are the same integers and the merge algebra is exact.
 
@@ -536,45 +483,11 @@ class ProcessPoolBackend(ExecutionBackend):
     ) -> list[_SpanTask]:
         """One task per unit of work, in stream order.
 
-        ``chunked`` units follow the serial chunk boundaries (chunk-
-        aligned CSV spans, or ``chunk_rows`` cache row ranges); otherwise
-        the source splits into ``2 * window`` even parts, more parts
-        than workers so merging overlaps parsing.
+        ``chunked`` units are the serial chunk boundaries' CSV spans;
+        otherwise the source splits into ``2 * window`` even byte parts,
+        more parts than workers so merging overlaps parsing.
         """
         plan = source.plan()
-        if source.column_cache is not None:
-            cache = source.open_cache(plan)
-            try:
-                n_rows = cache.n_rows
-            finally:
-                cache.close()
-            stat = os.stat(source.column_cache)
-            if chunked:
-                bounds = list(range(0, n_rows, source.chunk_rows)) + [n_rows]
-            else:
-                parts = 2 * self._window
-                bounds = [n_rows * part // parts for part in range(parts + 1)]
-            ranges = [
-                (start, stop)
-                for start, stop in zip(bounds, bounds[1:])
-                if stop > start
-            ]
-            if not ranges:
-                raise CsvParseError("no data rows found")
-            return [
-                _SpanTask(
-                    source.path,
-                    None,
-                    spec,
-                    index,
-                    source.chunk_rows,
-                    cache_path=source.column_cache,
-                    cache_token=(stat.st_size, stat.st_mtime_ns),
-                    row_range=row_range,
-                    schema=source.schema,
-                )
-                for index, row_range in enumerate(ranges)
-            ]
         if chunked:
             spans = plan_csv_chunks(source.path, plan, source.chunk_rows)
             if not spans:
@@ -582,9 +495,7 @@ class ProcessPoolBackend(ExecutionBackend):
         else:
             spans = plan_csv_shards(source.path, plan, 2 * self._window)
         return [
-            _SpanTask(
-                source.path, plan, spec, index, source.chunk_rows, span=span
-            )
+            _SpanTask(source.path, plan, spec, index, span, source.chunk_rows)
             for index, span in enumerate(spans)
         ]
 
@@ -674,9 +585,18 @@ class ProcessPoolBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # The backend contract
     # ------------------------------------------------------------------
+    def _in_process(self) -> SerialBackend:
+        """The backend that counts a cached source: there is no parse to
+        fan out, so no worker starts."""
+        serial = SerialBackend()
+        serial.tracer = self.tracer
+        return serial
+
     def build(
         self, source: CsvSource, spec: ContingencySpec
     ) -> StreamingContingency:
+        if source.column_cache is not None:
+            return self._in_process().build(source, spec)
         merged: StreamingContingency | None = None
         clock = self._metric_clock
         for chunk in self._ingest(source, spec, chunked=False):
@@ -692,4 +612,6 @@ class ProcessPoolBackend(ExecutionBackend):
     def iter_chunk_counts(
         self, source: CsvSource, spec: ContingencySpec
     ) -> Iterator[ChunkCounts]:
+        if source.column_cache is not None:
+            return self._in_process().iter_chunk_counts(source, spec)
         return self._ingest(source, spec, chunked=True)

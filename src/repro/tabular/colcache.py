@@ -5,12 +5,14 @@ estimator, new metric, new subset of workers — needs the file's codes
 again, not its text. What skipping the text buys, measured by
 perfbench's ``audit_csv`` (150,000 census rows, 2,400 groups, 500
 posterior draws; 2-vCPU VM, medians of 10 runs): the cold serial audit
-takes 523 ms and the warm re-audit over this cache 339 ms. In traced
+takes 277 ms and the warm re-audit over this cache 191 ms. In traced
 runs the cold audit's CSV parse — :mod:`repro.tabular.csv_io`'s coded
-reader, which parses each distinct line once — takes 189 ms and its
-count 9 ms, against 13 ms to open this cache and 10 ms to count from it;
-the subset and posterior sweeps, which both audits run, take the rest.
-A build costs 0.22 s, so the cache has paid for itself by the second
+reader, which parses each distinct line once — takes 86–102 ms and its
+count 3.3–4.1 ms, against 2.8–3.1 ms to open this cache and 1.4–1.8 ms
+to count from it; the subset and posterior sweeps, which both audits
+run, take the rest. On a 1M-row file of four columns a warm build takes
+16–27 ms against 0.27–0.31 s for the cold parse. A build costs 0.10 s,
+about one cold parse, so the cache has paid for itself by the second
 audit that reads it. This module keeps the parse's result in a packed,
 mmap-able binary file (suffix ``.rccol``):
 
@@ -32,9 +34,11 @@ Each selected column is **dictionary-factorised across the whole
 file**: the header carries its level table (in the same canonical
 sorted order :meth:`Column.categorical` would infer) and the payload
 carries one int32 code per row. Readers :func:`mmap.mmap` the file and
-take :func:`numpy.frombuffer` views — a chunk, a worker's row range, or
-the whole file costs a slice, not a parse, and independent worker
-processes share the page cache instead of each re-reading text.
+take :func:`numpy.frombuffer` views — a chunk or the whole file costs a
+slice, not a parse. :meth:`ColumnCache.open` checks every code against
+its level table once, so the whole-file table wraps the mmap'd codes
+without a copy, and counting it gathers only the columns whose levels
+are out of the accumulator's order.
 
 Bit-identity with the parse path is a construction property, not a
 hope: a chunk rebuilt from the cache selects the levels *present* in
@@ -283,8 +287,9 @@ class ColumnCache:
     ) -> "ColumnCache":
         """Open and fully validate a cache file.
 
-        Magic, version, and both CRCs are always checked (truncation and
-        bit rot raise :class:`CacheError`). When ``source_path`` is
+        Magic, version, both CRCs and every column's codes and levels
+        are always checked (truncation, bit rot and a code outside its
+        level table raise :class:`CacheError`). When ``source_path`` is
         given the recorded source fingerprint is re-verified against the
         live file — any drift (append, rewrite, header edit) raises with
         ``reason="stale"``. When ``plan`` is given the recorded parse
@@ -335,10 +340,13 @@ class ColumnCache:
                     f"column cache {path} header failed its CRC check",
                     reason="crc",
                 )
-            if (
-                zlib.crc32(mapping[payload_start : payload_start + payload_len])
-                != payload_crc
-            ):
+            # A memoryview slice, not an mmap slice, which would copy the
+            # payload; the view is released before the mapping can close.
+            with memoryview(mapping)[
+                payload_start : payload_start + payload_len
+            ] as payload:
+                payload_ok = zlib.crc32(payload) == payload_crc
+            if not payload_ok:
                 raise CacheError(
                     f"column cache {path} payload failed its CRC check",
                     reason="crc",
@@ -355,6 +363,24 @@ class ColumnCache:
             mapping.close()
             raise
         try:
+            # Readers index each level table with its mmap'd codes
+            # unchecked, so both are checked once here; as uint32 a
+            # negative code is out of range too. No view is bound to a
+            # local, so close() below can release the mapping.
+            for name in cache.column_names:
+                levels = cache.levels(name)
+                if len(set(levels)) != len(levels):
+                    raise CacheError(
+                        f"column cache {path} column {name!r} has duplicate "
+                        "levels"
+                    )
+                if cache.n_rows and int(
+                    cache.codes(name).view(np.uint32).max()
+                ) >= len(levels):
+                    raise CacheError(
+                        f"column cache {path} column {name!r} has a code "
+                        f"outside its {len(levels)} levels"
+                    )
             if source_path is not None:
                 cache.verify_source(source_path)
             if plan is not None:
@@ -474,9 +500,11 @@ class ColumnCache:
         """The whole file as one table with *global* level tables.
 
         The fast path for one-shot counting: no per-chunk level
-        narrowing, one gather per column. Counts built from it are
-        integer-identical to the chunked path; only internal level
-        order differs, which every canonical snapshot erases.
+        narrowing, and each column not covered by ``schema`` wraps its
+        mmap'd int32 codes without a copy (they were checked at open).
+        Counts built from it are integer-identical to the chunked path;
+        only internal level order differs, which every canonical
+        snapshot erases.
         """
         return Table(
             [

@@ -88,6 +88,8 @@ class Column:
     ) -> "Column":
         """Build a categorical column from pre-computed integer codes."""
         levels = tuple(levels)
+        if len(set(levels)) != len(levels):
+            raise ValidationError(f"column {name!r}: duplicate levels in {levels}")
         code_array = np.asarray(list(codes) if not isinstance(codes, np.ndarray) else codes)
         code_array = code_array.astype(np.int64, copy=True)
         if code_array.size and (code_array.min() < 0 or code_array.max() >= len(levels)):

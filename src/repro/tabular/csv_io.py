@@ -320,40 +320,6 @@ class CsvPlan:
             ]
         return row
 
-    def to_column_cache(
-        self, source_path: str | Path, cache_path: str | Path
-    ) -> Path:
-        """Parse ``source_path`` once and write a ``.rccol`` column cache.
-
-        The cache packs every selected column as a factorised level
-        table plus an int32 code array (see
-        :mod:`repro.tabular.colcache`); re-audits of the same source
-        then skip CSV parsing entirely via :meth:`from_column_cache`.
-        """
-        from repro.tabular.colcache import build_column_cache
-
-        return build_column_cache(source_path, self, cache_path)
-
-    def from_column_cache(
-        self,
-        cache_path: str | Path,
-        *,
-        source_path: str | Path | None = None,
-    ):
-        """Open a ``.rccol`` cache built for this plan's parse options.
-
-        Validates the cache's magic/version/CRCs and its recorded parse
-        options against this plan; with ``source_path`` the source
-        fingerprint (size, mtime, prologue bytes) is re-verified too.
-        Any mismatch raises :class:`repro.exceptions.CacheError` — a
-        stale cache is never read silently.
-        """
-        from repro.tabular.colcache import ColumnCache
-
-        return ColumnCache.open(
-            cache_path, source_path=source_path, plan=self
-        )
-
     def build_chunk(self, rows: Sequence[Sequence[str]]) -> Table:
         """Build a chunk table from already-projected rows."""
         chunk_columns: list[Column] = []
@@ -373,14 +339,16 @@ def _coded_column(
 ) -> Column:
     """A chunk column from level codes, as the CSV path would build it.
 
-    ``codes`` index ``levels``. A column the schema covers is decoded to
-    its raw strings and rebuilt through the schema's own parser; any
-    other column is categorical over ``levels`` as given.
+    ``codes`` index ``levels``, which are distinct: every caller
+    guarantees both, so the codes are wrapped without a copy or a range
+    check. A column the schema covers is decoded to its raw strings and
+    rebuilt through the schema's own parser; any other column is
+    categorical over ``levels`` as given.
     """
     if schema is not None and name in schema:
         decoded = np.array(levels, dtype=object)[codes]
         return schema.field(name).build_column(decoded.tolist())
-    return Column.from_codes(name, codes, levels)
+    return Column(name, CATEGORICAL, codes, tuple(levels))
 
 
 def _narrowed_column(

@@ -288,6 +288,19 @@ class TestBackendBitIdentity:
                 mine.counts.snapshot().counts, theirs.counts.snapshot().counts
             )
 
+    @pytest.mark.parallel
+    def test_pool_counts_a_cached_source_in_process(self, stream_csv, tmp_path):
+        cached = source_for(stream_csv, column_cache=str(tmp_path / "s.rccol"))
+        serial = SerialBackend().build(cached, SPEC)
+        with ProcessPoolBackend(2) as backend:
+            pooled = backend.build(cached, SPEC)
+            chunks = list(backend.iter_chunk_counts(cached, SPEC))
+            assert backend._pool is None
+        state, expected = pooled.state_dict(), serial.state_dict()
+        assert np.array_equal(state.pop("counts"), expected.pop("counts"))
+        assert state == expected
+        assert sum(chunk.n_rows for chunk in chunks) == serial.n_rows
+
 
 @pytest.mark.parallel
 class TestPoolLifecycle:

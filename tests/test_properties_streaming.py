@@ -39,7 +39,7 @@ from repro.core.streaming import StreamingContingency, canonical_rows
 from repro.engine.backends import tree_merge
 from repro.monitor.store import encode_record, sanitize_floats
 from repro.monitor.wal import WriteAheadLog
-from repro.tabular.column import Column
+from repro.tabular.column import CATEGORICAL, Column
 from repro.tabular.crosstab import ContingencyTable
 from repro.tabular.table import Table
 
@@ -386,6 +386,81 @@ class TestCachedRowPath:
             assert typed_fingerprint(accumulator.snapshot()) == typed_fingerprint(
                 from_table_reference(names, rows, rows)
             )
+
+
+def chunk_column(name, values, levels=None) -> Column:
+    """A chunk column over its own levels, as the CSV reader builds it,
+    or over ``levels`` with int32 codes, as ``full_table`` builds it."""
+    column = Column.categorical(name, values, levels=levels)
+    if levels is None:
+        return column
+    return Column(name, CATEGORICAL, column.codes.astype(np.int32), levels)
+
+
+class TestTablePath:
+    """``update_table`` against the row path and ``from_table``.
+
+    Each chunk table carries either its own levels or the whole
+    stream's. Accumulators are dynamic or pinned, in canonical or
+    shuffled order, so columns whose levels already sit in the axis's
+    order and columns that need a gather both run.
+    """
+
+    @given(mixed_streams(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_table_chunks_match_the_row_path(self, stream, data):
+        names, batches = stream
+        rows = [row for batch in batches for row in batch]
+        columns = [*names, "y"]
+        whole = Table.from_dict(
+            {name: [row[i] for row in rows] for i, name in enumerate(columns)},
+            categorical=columns,
+        )
+        stream_levels = [whole.column(name).levels for name in columns]
+        pinned = data.draw(st.booleans())
+        declared = [
+            tuple(data.draw(st.permutations(levels))) if pinned else levels
+            for levels in stream_levels
+        ]
+        pins = (declared[:-1], declared[-1]) if pinned else ()
+        by_table = StreamingContingency(names, "y", *pins)
+        by_rows = StreamingContingency(names, "y", *pins)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=5)))
+        for start, stop in zip([0, *cuts], [*cuts, len(rows)]):
+            chunk = rows[start:stop]
+            wide = data.draw(st.booleans())
+            by_table.update_table(
+                Table(
+                    [
+                        chunk_column(
+                            name,
+                            [row[i] for row in chunk],
+                            stream_levels[i] if wide else None,
+                        )
+                        for i, name in enumerate(columns)
+                    ]
+                )
+            )
+            by_rows.update(chunk)
+        assert by_table.n_rows == by_rows.n_rows == len(rows)
+        fingerprint = typed_fingerprint(by_table.snapshot())
+        assert fingerprint == typed_fingerprint(by_rows.snapshot())
+        if pinned:  # snapshots in the declared order
+            reference = ContingencyTable.from_table(
+                Table(
+                    [
+                        Column.categorical(
+                            name, [row[i] for row in rows], levels=declared[i]
+                        )
+                        for i, name in enumerate(columns)
+                    ]
+                ),
+                names,
+                "y",
+            )
+        else:
+            reference = from_table_reference(names, rows, rows)
+        assert fingerprint == typed_fingerprint(reference)
 
 
 cells = st.one_of(

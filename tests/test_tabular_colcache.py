@@ -13,11 +13,17 @@ corrupt) caches are ever rebuilt.
 
 from __future__ import annotations
 
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
+from repro.engine.backends import ContingencySpec, CsvSource, SerialBackend
 from repro.exceptions import CacheError, CsvParseError
 from repro.tabular.colcache import (
+    _PREAMBLE,
     COLCACHE_MAGIC,
     COLCACHE_VERSION,
     ColumnCache,
@@ -299,6 +305,51 @@ class TestCorruptionMatrix:
             ColumnCache.open(cache_path, plan=other)
         assert excinfo.value.reason == "plan"
 
+    @pytest.mark.parametrize(
+        "edit", ["code past the levels", "negative code", "duplicate level"]
+    )
+    def test_codes_outside_their_levels_never_count(self, cached, edit):
+        # The edit keeps both CRCs valid, so only the column check at
+        # open can catch it.
+        csv_path, _, cache_path = cached
+        blob = cache_path.read_bytes()
+        magic, version, header_len, _, _, _ = _PREAMBLE.unpack_from(blob)
+        start = _PREAMBLE.size + header_len
+        header = json.loads(blob[_PREAMBLE.size : start])
+        payload = bytearray(blob[start:])
+        levels = header["columns"][0]["levels"]
+        if edit == "duplicate level":
+            levels[-1] = levels[0]
+        else:
+            code = len(levels) if edit == "code past the levels" else -1
+            payload[:4] = struct.pack("<i", code)
+        head = json.dumps(header).encode("utf-8")
+        corrupt = (
+            _PREAMBLE.pack(
+                magic,
+                version,
+                len(head),
+                zlib.crc32(head),
+                len(payload),
+                zlib.crc32(payload),
+            )
+            + head
+            + bytes(payload)
+        )
+        cache_path.write_bytes(corrupt)
+        match = "duplicate levels" if edit == "duplicate level" else "outside"
+        with pytest.raises(CacheError, match=match) as excinfo:
+            ColumnCache.open(cache_path)
+        assert excinfo.value.reason == "corrupt"
+        source = CsvSource(str(csv_path), column_cache=str(cache_path))
+        spec = ContingencySpec(("gender", "race"), "hired")
+        with pytest.raises(CacheError, match=match):
+            SerialBackend().build(source, spec)
+        with pytest.raises(CacheError, match=match):
+            list(SerialBackend().iter_chunk_counts(source, spec))
+        # Refused, not rebuilt over.
+        assert cache_path.read_bytes() == corrupt
+
     def test_source_deleted(self, cached):
         csv_path, _, cache_path = cached
         csv_path.unlink()
@@ -342,14 +393,6 @@ class TestEnsure:
 
 
 class TestPlanHelpers:
-    def test_plan_to_and_from_column_cache(self, tmp_path):
-        csv_path = write_csv(tmp_path / "via.csv", small_rows(30))
-        plan = CsvPlan.from_csv(csv_path, columns=["gender", "hired"])
-        cache_path = plan.to_column_cache(csv_path, tmp_path / "via.rccol")
-        with plan.from_column_cache(cache_path, source_path=csv_path) as cache:
-            assert cache.column_names == ("gender", "hired")
-            assert cache.n_rows == 30
-
     def test_empty_cache_chunk_tables_raise_like_csv(self, tmp_path):
         csv_path = write_csv(tmp_path / "short.csv", small_rows(5))
         plan = CsvPlan.from_csv(csv_path)

@@ -34,6 +34,12 @@ class TestCategoricalConstruction:
         with pytest.raises(ValidationError, match="out of range"):
             Column.from_codes("c", [2], ["a", "b"])
 
+    def test_from_codes_duplicate_levels_rejected(self):
+        # 1 == True: one level listed twice, which update_table would
+        # grow into two axis levels for one dictionary key.
+        with pytest.raises(ValidationError, match="duplicate"):
+            Column.from_codes("y", [0, 1, 1], [1, True])
+
     def test_empty_categorical(self):
         column = Column.categorical("c", [], levels=["a"])
         assert len(column) == 0
